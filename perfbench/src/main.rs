@@ -103,12 +103,7 @@ enum Workload {
     Loop(LoopWorkload),
 }
 
-const WORKLOADS: [&str; 4] = [
-    "replay_migration",
-    "deadline_deepqueue",
-    "convert_stream",
-    "sample_burst",
-];
+const WORKLOADS: [&str; 2] = ["replay_migration", "convert_stream"];
 
 fn workload(name: &str) -> Option<Workload> {
     let params = SampleParams::new(10, 2);
@@ -116,11 +111,7 @@ fn workload(name: &str) -> Option<Workload> {
     Some(match name {
         "replay_migration" => Workload::Serve(ServeWorkload {
             build: serve::replay_migration,
-            requests: 1_000_000,
-        }),
-        "deadline_deepqueue" => Workload::Serve(ServeWorkload {
-            build: serve::deadline_deepqueue,
-            requests: 60_000,
+            requests: 200_000,
         }),
         "convert_stream" => Workload::Loop(LoopWorkload {
             dataset: Dataset::Taobao,
@@ -129,14 +120,6 @@ fn workload(name: &str) -> Option<Workload> {
             params,
             spec,
             requests: 10,
-        }),
-        "sample_burst" => Workload::Loop(LoopWorkload {
-            dataset: Dataset::Physics,
-            scale: 1,
-            batch: 3_000,
-            params,
-            spec,
-            requests: 2,
         }),
         _ => return None,
     })
@@ -229,7 +212,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(Args {
         workload: workload.ok_or("--workload is required")?,
         seed: seed.unwrap_or(1),
-        seconds: seconds.unwrap_or(25.0),
+        seconds: seconds.unwrap_or(55.0),
         traced: traced.unwrap_or(false),
     })
 }
@@ -340,10 +323,6 @@ mod tests {
                 build: serve::replay_migration,
                 requests: 300,
             }),
-            Workload::Serve(ServeWorkload {
-                build: serve::deadline_deepqueue,
-                requests: 300,
-            }),
             Workload::Loop(LoopWorkload {
                 dataset: Dataset::Physics,
                 scale: 64,
@@ -395,7 +374,7 @@ mod tests {
         let parse = |args: &[&str]| parse_args(args.iter().map(|s| s.to_string()));
         let args = parse(&[
             "--workload",
-            "sample_burst",
+            "convert_stream",
             "--seed",
             "4",
             "--seconds",
@@ -404,7 +383,7 @@ mod tests {
             "1",
         ])
         .expect("valid arguments");
-        assert_eq!(args.workload, "sample_burst");
+        assert_eq!(args.workload, "convert_stream");
         assert_eq!(args.seed, 4);
         assert_eq!(args.seconds, 2.0);
         assert!(args.traced);

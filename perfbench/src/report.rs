@@ -157,6 +157,20 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
+/// The smallest of `values`: the host time of the fastest of several
+/// repetitions of the same work. On a shared host, neighbours slow the
+/// same instructions 1.4-2x in phases from under a second to minutes
+/// long, so the median repetition reads the neighbours' load; the fastest
+/// one is the figure they move least, provided each repetition is short.
+///
+/// # Panics
+///
+/// Panics if `values` is empty.
+pub fn fastest(values: &[f64]) -> f64 {
+    assert!(!values.is_empty(), "fastest of no values");
+    values.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
 /// The nearest-rank `q`-quantile of `values`.
 ///
 /// # Panics
@@ -232,5 +246,11 @@ mod tests {
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(nearest_rank(&[5.0, 1.0, 3.0], 0.5), 3.0);
         assert_eq!(nearest_rank(&[5.0, 1.0, 3.0], 0.99), 5.0);
+    }
+
+    #[test]
+    fn fastest_is_the_smallest_time() {
+        assert_eq!(fastest(&[5.0, 1.5, 3.0]), 1.5);
+        assert_eq!(fastest(&[2.0]), 2.0);
     }
 }
