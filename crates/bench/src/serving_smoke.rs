@@ -1125,6 +1125,90 @@ mod tests {
         }
     }
 
+    /// 64-bit FNV-1a over a rendered trace document.
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xCBF2_9CE4_8422_2325, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// The case the sweep never reaches: a pipelined four-board pool under
+    /// bitstream-affine placement with `SplitHot` overflow and a 2-s
+    /// deadline on every tenant, over a hot tenant that outruns its board.
+    /// The trace narrates stage aborts (`DeadlineExpired`), in-queue
+    /// expiries and `Placement::Migrating` splits.
+    fn split_hot_deadline_trace() -> String {
+        let tenants = TenantSpec::skewed_hotspot(24.0, 900.0);
+        let config = ServeConfig::pipelined()
+            .to_builder()
+            .seed(SMOKE_SEED)
+            .total_requests(SMOKE_REQUESTS)
+            .queue_capacity(512)
+            .boards(4)
+            .placement(PlacementPolicy::BitstreamAffine)
+            .migrate(MigratePolicy::SplitHot { queue_threshold: 8 })
+            .default_deadline_secs(DEADLINE_SECS)
+            .build()
+            .expect("valid config");
+        let names = tenants.iter().map(|t| t.name.clone()).collect();
+        let mut writer = ChromeTraceWriter::with_tenant_names(names);
+        let report = TrafficSim::new(tenants, config).run_traced(&mut writer);
+        let outcome = |f: fn(&agnn_serve::OutcomeCounts) -> u64| {
+            report.tenants.iter().map(|t| f(&t.outcomes)).sum::<u64>()
+        };
+        assert!(outcome(|o| o.aborted) > 0, "the case must abort stages");
+        assert!(
+            outcome(|o| o.expired_in_queue) > 0,
+            "and expire queued requests"
+        );
+        assert!(report.migrations() > 0, "the case must split onto peers");
+        writer.finish()
+    }
+
+    /// Pins the span/counter stream itself, byte for byte: the FNV-1a
+    /// hash of every sweep and grid case's Perfetto JSON, plus the
+    /// split-hot deadline case. The trace digests pin only the schedule
+    /// and the traced-vs-untraced proptest compares only reports, so a
+    /// change to what the simulator narrates — a span moved, a counter
+    /// dropped, a sample re-timed — fails here and nowhere else.
+    #[test]
+    fn trace_stream_golden() {
+        const GOLDEN: &[(&str, u64)] = &[
+            ("single_board_reconfig_aware", 0xE1A0_0868_3F90_93DE),
+            ("pool4_least_loaded", 0x12C0_81F1_F95E_42E1),
+            ("pool4_bitstream_affine", 0x0444_3BA2_A291_9F99),
+            ("pipelined_drift", 0xDEB5_A0E8_89EA_9FB9),
+            ("migration_drift", 0x0157_1331_D215_F29F),
+            ("fifo_burst", 0x4F9F_1614_2E56_DE6F),
+            ("wfq_burst", 0x61DB_E84E_BB20_8AA2),
+            ("slo_drift", 0xE6E9_84E4_7E86_AC26),
+            ("cache_replay", 0x1436_B881_E1E8_74F7),
+            ("deadline_burst", 0x1A59_C54D_0305_FF4B),
+            ("grid_b1_fifo_off", 0xC72B_FB78_1341_483C),
+            ("grid_b1_fifo_delta", 0xFA51_720F_CB49_2D42),
+            ("grid_b1_wfq_off", 0xC72B_FB78_1341_483C),
+            ("grid_b1_wfq_delta", 0xFA51_720F_CB49_2D42),
+            ("grid_b1_slo_off", 0x836B_7D16_1A46_A317),
+            ("grid_b1_slo_delta", 0xFA51_720F_CB49_2D42),
+            ("grid_b4_fifo_off", 0xD400_C366_ABDA_D4A7),
+            ("grid_b4_fifo_delta", 0xA59A_EFD7_79C8_090F),
+            ("grid_b4_wfq_off", 0x450F_2EF3_49B7_868E),
+            ("grid_b4_wfq_delta", 0xA59A_EFD7_79C8_090F),
+            ("grid_b4_slo_off", 0x7D66_FF68_C1BF_9A3C),
+            ("grid_b4_slo_delta", 0xA59A_EFD7_79C8_090F),
+            ("split_hot_deadline", 0xAE39_C05D_20FF_CCDF),
+        ];
+        let mut got: Vec<(&str, u64)> = all_cases()
+            .iter()
+            .map(|(name, ..)| {
+                let trace = perfetto_trace(name).expect("known scenario");
+                (*name, fnv1a(&trace))
+            })
+            .collect();
+        got.push(("split_hot_deadline", fnv1a(&split_hot_deadline_trace())));
+        assert_eq!(got, GOLDEN, "trace stream drifted");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4))]
         /// The fixed-order merge contract at the artifact level: for a
