@@ -12,7 +12,6 @@
 
 use rand::rngs::StdRng;
 
-use crate::engine::Component;
 use crate::tenant::{ArrivalProcess, TenantSpec};
 
 /// Arrivals pre-generated per refill. Large enough to amortize the
@@ -43,11 +42,6 @@ impl Stream {
     }
 
     #[inline]
-    fn peek(&self) -> f64 {
-        self.buffer[self.cursor]
-    }
-
-    #[inline]
     fn next(&mut self) -> f64 {
         let at = self.buffer[self.cursor];
         self.cursor += 1;
@@ -58,15 +52,10 @@ impl Stream {
     }
 }
 
-/// The pool of per-tenant arrival streams backing a simulation run —
-/// the [`Component`] generating the load every other component reacts
-/// to.
+/// The pool of per-tenant arrival streams backing a simulation run.
 #[derive(Debug)]
 pub struct ArrivalSource {
     streams: Vec<Stream>,
-    /// Simulated time of the last [`tick`](Component::tick) (observability
-    /// only — generation is driven by [`next`](ArrivalSource::next)).
-    now: f64,
 }
 
 impl ArrivalSource {
@@ -88,7 +77,7 @@ impl ArrivalSource {
                 s
             })
             .collect();
-        ArrivalSource { streams, now: 0.0 }
+        ArrivalSource { streams }
     }
 
     /// Consumes and returns `tenant`'s next arrival time. Infinite
@@ -97,26 +86,6 @@ impl ArrivalSource {
     #[inline]
     pub fn next(&mut self, tenant: usize) -> f64 {
         self.streams[tenant].next()
-    }
-
-    /// `tenant`'s next arrival time without consuming it.
-    pub fn peek(&self, tenant: usize) -> f64 {
-        self.streams[tenant].peek()
-    }
-}
-
-impl Component for ArrivalSource {
-    /// The earliest pending arrival across every tenant.
-    fn next_tick(&self) -> Option<f64> {
-        self.streams
-            .iter()
-            .map(Stream::peek)
-            .min_by(|a, b| a.total_cmp(b))
-    }
-
-    fn tick(&mut self, now: f64) {
-        debug_assert!(now >= self.now, "time runs forward");
-        self.now = now;
     }
 }
 
@@ -148,17 +117,5 @@ mod tests {
                 assert_eq!(got.to_bits(), at.to_bits(), "tenant {i} draw {k}");
             }
         }
-    }
-
-    #[test]
-    fn peek_does_not_consume_and_next_tick_is_the_min() {
-        let ts = tenants();
-        let mut src = ArrivalSource::new(&ts, 7);
-        let (a, b) = (src.peek(0), src.peek(1));
-        assert_eq!(src.next_tick(), Some(a.min(b)));
-        assert_eq!(src.peek(0).to_bits(), a.to_bits(), "peek is idempotent");
-        assert_eq!(src.next(0).to_bits(), a.to_bits());
-        assert!(src.peek(0) > a, "arrivals strictly increase");
-        src.tick(a);
     }
 }

@@ -36,9 +36,8 @@
 //!   [`engine::EventQueue`] (O(1) push/pop at serving densities,
 //!   bit-for-bit the binary-heap `(time, push-order)` contract it
 //!   replaced), a [`engine::Slab`] arena holding in-flight request state
-//!   behind 4-byte handles, batched pre-generated arrival streams
-//!   ([`engine::ArrivalSource`]) and the [`engine::Component`]
-//!   `next_tick`/`tick` clock abstraction — see `docs/ARCHITECTURE.md`;
+//!   behind 4-byte handles and batched pre-generated arrival streams
+//!   ([`engine::ArrivalSource`]) — see `docs/ARCHITECTURE.md`;
 //! - [`sim`] — the discrete-event scheduler itself, with drop
 //!   accounting and pluggable [`sim::DispatchPolicy`] — strict FIFO
 //!   versus a *reconfig-aware* policy that serves same-bitstream requests
@@ -140,6 +139,12 @@
 //! ```
 #![warn(missing_docs)]
 
+/// Compiles the Rust snippets of `docs/ARCHITECTURE.md` as doc-tests, so
+/// the architecture guide cannot drift from the API it describes.
+#[cfg(doctest)]
+#[doc = include_str!("../../../docs/ARCHITECTURE.md")]
+struct ArchitectureDoc;
+
 pub mod cache;
 pub mod engine;
 pub mod metrics;
@@ -151,7 +156,7 @@ pub mod tenant;
 pub mod trace;
 
 pub use cache::{CacheKind, CacheStats, ResultCache};
-pub use engine::{ArrivalSource, Component, EventQueue, Slab};
+pub use engine::{ArrivalSource, EventQueue, Slab};
 pub use metrics::{
     BoardStats, CompletedRequest, LatencyHistogram, OutcomeCounts, RequestLatency, RequestOutcome,
     SimPerf, StageHistograms, StallBreakdown, TenantStats, TrafficReport,
@@ -508,6 +513,75 @@ mod tests {
             .unwrap();
         assert_eq!(cfg.hedge, HedgeKind::Latency { factor: 1.0 });
         assert_eq!(cfg.default_deadline_secs, Some(2.0));
+    }
+
+    #[test]
+    fn builder_rejects_zero_boards() {
+        assert_eq!(
+            ServeConfig::builder().boards(0).build(),
+            Err(ConfigError::ZeroBoards)
+        );
+    }
+
+    #[test]
+    fn builder_rejects_zero_queue_capacity() {
+        assert_eq!(
+            ServeConfig::builder().queue_capacity(0).build(),
+            Err(ConfigError::ZeroQueueCapacity)
+        );
+    }
+
+    #[test]
+    fn builder_rejects_zero_compute_speedup() {
+        assert_eq!(
+            ServeConfig::builder().compute_speedup(0.0).build(),
+            Err(ConfigError::NonPositiveSpeedup { speedup: 0.0 })
+        );
+    }
+
+    #[test]
+    fn builder_rejects_negative_compute_speedup() {
+        assert_eq!(
+            ServeConfig::builder().compute_speedup(-2.0).build(),
+            Err(ConfigError::NonPositiveSpeedup { speedup: -2.0 })
+        );
+    }
+
+    #[test]
+    fn builder_rejects_nan_compute_speedup() {
+        let err = ServeConfig::builder()
+            .compute_speedup(f64::NAN)
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(err, ConfigError::NonPositiveSpeedup { speedup } if speedup.is_nan()),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn builder_rejects_infinite_compute_speedup() {
+        assert_eq!(
+            ServeConfig::builder()
+                .compute_speedup(f64::INFINITY)
+                .build(),
+            Err(ConfigError::NonPositiveSpeedup {
+                speedup: f64::INFINITY
+            })
+        );
+    }
+
+    /// A hand-assembled literal skips the builder, but `TrafficSim::new`
+    /// re-validates and names the error instead of failing deep inside
+    /// the pool.
+    #[test]
+    #[should_panic(expected = "invalid ServeConfig: the board pool needs at least one board")]
+    fn sim_rejects_a_literal_with_zero_boards() {
+        let cfg = ServeConfig {
+            boards: 0,
+            ..ServeConfig::base()
+        };
+        TrafficSim::new(mixed_tenants(1.0), cfg);
     }
 
     #[test]

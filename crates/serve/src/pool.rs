@@ -60,7 +60,6 @@ use agnn_hw::engine::ReconfigEvent;
 use agnn_hw::shell::DELTA_BUFFERS;
 use agnn_hw::HwConfig;
 
-use crate::engine::Component;
 use crate::metrics::BoardStats;
 
 /// Requests a board can hold ingested-but-not-computing: one delta buffer
@@ -585,11 +584,6 @@ impl BoardPool {
         debug_assert!(!board.dma_busy, "board {index} double-dispatched");
         board.dma_busy = true;
         board.fabric_busy = true;
-        // Record the horizons too so the [`Component`] view of the board
-        // (`next_tick`) is meaningful in serial mode as well; serial
-        // overlap accounting never reads them.
-        board.dma_until = done;
-        board.fabric_until = done;
         board.busy_secs += (done - now).max(0.0);
     }
 
@@ -706,88 +700,12 @@ impl BoardPool {
     }
 }
 
-impl Component for Board {
-    /// The earliest simulated second one of the board's engines frees:
-    /// the in-flight DMA transfer or the fabric pass, whichever completes
-    /// first. `None` while both engines are idle (their `*_until` fields
-    /// are stale then and must not be read).
-    fn next_tick(&self) -> Option<f64> {
-        let dma = self.dma_busy.then_some(self.dma_until);
-        let fabric = self.fabric_busy.then_some(self.fabric_until);
-        match (dma, fabric) {
-            (Some(d), Some(f)) => Some(d.min(f)),
-            (dma, fabric) => dma.or(fabric),
-        }
-    }
-
-    /// Boards mutate on explicit completion events
-    /// ([`BoardPool::release_dma`] / [`BoardPool::release_fabric`] carry
-    /// the semantics), so the component clock only checks that time never
-    /// runs past an engine horizon without its completion having fired.
-    fn tick(&mut self, now: f64) {
-        debug_assert!(
-            self.next_tick().is_none_or(|t| now <= t),
-            "board ticked to {now} past an engine horizon"
-        );
-        let _ = now;
-    }
-}
-
-impl Component for BoardPool {
-    /// The earliest engine horizon across the pool — what a conservative
-    /// event core would use as its next synchronization point.
-    fn next_tick(&self) -> Option<f64> {
-        self.boards
-            .iter()
-            .filter_map(|b| b.next_tick())
-            .min_by(|a, b| a.total_cmp(b))
-    }
-
-    /// Forwards the clock to every board (each validates its own
-    /// horizon).
-    fn tick(&mut self, now: f64) {
-        for board in &mut self.boards {
-            board.tick(now);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn pool(size: usize) -> BoardPool {
         BoardPool::new(size, SampleParams::new(10, 2), ReconfigPolicy::default(), 3)
-    }
-
-    /// The [`Component`] view: `next_tick` is the earliest busy-engine
-    /// horizon (DMA or fabric, pool-wide the min over boards), `None`
-    /// when everything idles, and `tick` observes without mutating.
-    #[test]
-    fn component_next_tick_tracks_the_earliest_engine_horizon() {
-        let mut pool = pool(2);
-        assert_eq!(pool.next_tick(), None, "idle pool has no horizon");
-
-        pool.occupy_dma(0, 0.0, 5.0);
-        assert_eq!(pool.next_tick(), Some(5.0));
-        pool.occupy_fabric(0, 0.0, 3.0);
-        assert_eq!(pool.next_tick(), Some(3.0), "fabric frees first");
-        pool.occupy_dma(1, 0.0, 2.0);
-        assert_eq!(pool.next_tick(), Some(2.0), "pool min spans boards");
-
-        pool.tick(2.0); // At a horizon is fine; past one would assert.
-        pool.release_dma(1);
-        assert_eq!(pool.next_tick(), Some(3.0));
-        pool.release_fabric(0);
-        assert_eq!(pool.next_tick(), Some(5.0));
-        pool.release_dma(0);
-        assert_eq!(pool.next_tick(), None);
-
-        // The serial path records horizons too.
-        pool.occupy(0, 1.0, 4.0);
-        assert_eq!(pool.next_tick(), Some(4.0));
-        pool.release(0);
-        assert_eq!(pool.next_tick(), None);
     }
 
     #[test]

@@ -143,7 +143,7 @@ pub trait SchedPolicy {
 }
 
 /// Which scheduler a simulation runs — the `Copy` configuration form of
-/// the [`SchedPolicy`] trait objects ([`SchedKind::build`] instantiates).
+/// a [`Scheduler`] ([`SchedKind::instantiate`] builds one).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SchedKind {
     /// The pre-refactor bounded FIFO queue, bit-for-bit (the
@@ -173,12 +173,11 @@ pub enum SchedKind {
 /// devirtualized form of [`SchedPolicy`].
 ///
 /// The hot dispatch loop calls `admit`/`scan`/`take`/`len` on every
-/// event; routing those through a `Box<dyn SchedPolicy>` pays an
+/// event; routing those through a `Box<dyn SchedPolicy>` would pay an
 /// indirect call each time. This enum makes the dispatch a jump table
 /// the compiler can inline through ([`SchedKind::instantiate`] builds
-/// it; [`SchedKind::build`] still hands out the boxed trait object for
-/// callers that want dynamic composition). Behavior is identical —
-/// every method forwards to the same policy implementation.
+/// it). Behavior is identical — every method forwards to the same
+/// policy implementation.
 #[derive(Debug)]
 pub enum Scheduler {
     /// The bounded arrival-order queue ([`queue::Fifo`]).
@@ -291,22 +290,13 @@ impl SchedKind {
     }
 
     /// Instantiates the scheduler for a deployment of `tenants` under an
-    /// aggregate queue bound of `capacity`.
+    /// aggregate queue bound of `capacity`: the [`Scheduler`] enum the
+    /// event loop dispatches on statically.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero, a weighted-fair quota is zero, or a
     /// tenant weight / SLO budget is not positive and finite.
-    pub fn build(&self, tenants: &[TenantSpec], capacity: usize) -> Box<dyn SchedPolicy> {
-        Box::new(self.instantiate(tenants, capacity))
-    }
-
-    /// [`build`](SchedKind::build) without the box: the [`Scheduler`]
-    /// enum the event loop dispatches on statically.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`build`](SchedKind::build).
     pub fn instantiate(&self, tenants: &[TenantSpec], capacity: usize) -> Scheduler {
         assert!(capacity > 0, "queue capacity must be positive");
         match *self {
@@ -368,7 +358,7 @@ mod tests {
             SchedKind::weighted_fair(),
             SchedKind::slo_aware(),
         ] {
-            let mut sched = kind.build(&ts, 8);
+            let mut sched = kind.instantiate(&ts, 8);
             assert_eq!(sched.name(), kind.name());
             assert!(sched.is_empty());
             assert!(sched.admit(Request {
@@ -386,6 +376,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "queue capacity")]
     fn zero_capacity_is_rejected() {
-        SchedKind::Fifo.build(&tenants(1), 0);
+        SchedKind::Fifo.instantiate(&tenants(1), 0);
     }
 }

@@ -74,6 +74,11 @@
 //! [`RequestOutcome::HedgeLoser`] and its work is wasted. Only the
 //! winner's completion fills the result cache.
 //!
+//! [`RequestOutcome::ExpiredInQueue`]: crate::metrics::RequestOutcome::ExpiredInQueue
+//! [`RequestOutcome::Aborted`]: crate::metrics::RequestOutcome::Aborted
+//! [`RequestOutcome::ServedLate`]: crate::metrics::RequestOutcome::ServedLate
+//! [`RequestOutcome::HedgeLoser`]: crate::metrics::RequestOutcome::HedgeLoser
+//!
 //! With no deadline anywhere and hedging off, **none** of these code
 //! paths run: the schedule, every golden trace digest and every CI
 //! baseline row reproduce bit-for-bit (the deadline Off-equivalence
@@ -161,31 +166,29 @@
 //! across the whole trajectory, which is what the CI `bench-smoke` gate
 //! relies on.
 //!
-//! # Tracing
+//! # Handlers and the narrator
 //!
-//! [`TrafficSim::run_traced`] narrates the run into a
-//! [`crate::trace::TraceSink`] as complete spans — the simulator is
-//! analytic, so a stage's begin and end are both known when it is
-//! scheduled. The span model (one track per board resource, a queue
-//! track, counters for queue depth and residency) lives in
-//! [`crate::trace`]; the emission sites here are:
+//! A run is a private `Run` state struct with one handler method per
+//! event kind plus `dispatch`, whose serial and pipelined legs are
+//! methods of their own. The handlers decide the schedule; what they
+//! decided is reported to one `Narrator` (`sim/narrator.rs`), with one
+//! method per semantic fact — an arrival, a drop, an expiry, a cache hit,
+//! a dispatch, a stage starting, a completion, an abort, a hedge. The
+//! narrator owns the order-sensitive trace digest, every report tally,
+//! the queue-depth timeline and the trace sink, and nothing the schedule
+//! reads, so no handler can read back what it reported.
 //!
-//! - **dispatch** — the request's queue span (arrival → dispatch), a
-//!   fresh per-run request id, and in serial mode the whole back-to-back
-//!   reconfig/ingest/preprocess/hand-off timeline at once;
-//! - **fabric acquisition** (pipelined) — the ICAP stall and
-//!   preprocessing spans;
-//! - **hand-off start** (pipelined) — the DMA hand-off span;
-//! - **migration dispatch** — the source board's outbound DMA leg;
-//! - **admission/dispatch queue transitions** — queue-depth counter
-//!   samples; dispatch also samples the board's resident DRAM bytes.
-//!
-//! Sinks are write-only, so tracing cannot perturb the schedule: a run
-//! with any sink produces bit-for-bit the [`crate::trace::NullSink`]
-//! report and the pinned golden digests (the digest-equivalence
-//! invariant, proptested in `tests/serve_traffic.rs`). [`TrafficSim::run`]
-//! itself measures the event loop — wall-clock seconds and events
-//! processed land in [`TrafficReport::sim`] for the CI sim-speed gate.
+//! [`TrafficSim::run_traced`] narrates into a [`crate::trace::TraceSink`]
+//! as complete spans — the simulator is analytic, so a stage's begin and
+//! end are both known when it is scheduled. The span model (one track
+//! per board resource, a queue track, counters for queue depth and
+//! residency) lives in [`crate::trace`]. Sinks are write-only, so
+//! tracing cannot perturb the schedule: a run with any sink produces
+//! bit-for-bit the [`crate::trace::NullSink`] report and the pinned
+//! golden digests (the digest-equivalence invariant, proptested in
+//! `tests/serve_traffic.rs`). [`TrafficSim::run`] itself measures the
+//! event loop — wall-clock seconds and events processed land in
+//! [`TrafficReport::sim`] for the CI sim-speed gate.
 //!
 //! Every per-request price — upload delta, preprocessing, hand-off,
 //! reconfiguration stall, inference tail — comes from the same models
@@ -198,21 +201,21 @@ use std::time::Instant;
 
 use agnn_cost::{CostModel, ReconfigPolicy, Workload};
 use agnn_gnn::timing::GpuInferenceModel;
+use agnn_hw::shell::{PcieModel, PcieSwitchModel};
 use agnn_hw::HwConfig;
 use fxhash::FxHashMap;
 
 use crate::cache::{CacheKind, ResultCache, CACHE_LOOKUP_SECS};
 use crate::engine::{ArrivalSource, EventQueue, Handle, Slab};
-use crate::metrics::{
-    CompletedRequest, DepthTimeline, LatencyHistogram, RequestLatency, RequestOutcome, SimPerf,
-    StageHistograms, StallBreakdown, TenantStats, TrafficReport,
-};
+use crate::metrics::{RequestLatency, SimPerf, TrafficReport};
 use crate::pool::{BoardPool, MigratePolicy, PlacementPolicy};
 use crate::sched::{LatencyPredictor, Request, SchedKind, SchedPolicy, Scheduler};
 use crate::tenant::TenantSpec;
-use crate::trace::{
-    BoardResource, CounterKind, CounterSample, NullSink, Span, SpanKind, TraceSink, Track,
-};
+use crate::trace::{NullSink, TraceSink};
+
+mod narrator;
+
+use narrator::Narrator;
 
 /// How the scheduler picks the next request and pays reconfigurations.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -285,11 +288,21 @@ impl HedgeKind {
 }
 
 /// Why a [`ServeConfigBuilder::build`] call rejected its configuration.
-/// Every variant names an incompatibility the simulator cannot run (the
-/// documented combos below), so the builder surfaces it at construction
-/// instead of a mid-run panic.
+/// Every variant names a size or knob combination the simulator cannot
+/// run, so the builder surfaces it at construction instead of a panic
+/// inside [`TrafficSim::new`] or mid-run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
+    /// The pool needs at least one board.
+    ZeroBoards,
+    /// The admission queue needs room for at least one request.
+    ZeroQueueCapacity,
+    /// The per-board compute speedup must be a positive, finite
+    /// multiple.
+    NonPositiveSpeedup {
+        /// The rejected value.
+        speedup: f64,
+    },
     /// Hedged dispatch re-offers a request to a *second* board; a pool
     /// of fewer than two boards has nowhere to hedge to.
     HedgeNeedsPool {
@@ -316,6 +329,16 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ConfigError::ZeroBoards => write!(f, "the board pool needs at least one board"),
+            ConfigError::ZeroQueueCapacity => {
+                write!(f, "the admission queue capacity must be positive")
+            }
+            ConfigError::NonPositiveSpeedup { speedup } => {
+                write!(
+                    f,
+                    "compute speedup must be positive and finite, got {speedup}"
+                )
+            }
             ConfigError::HedgeNeedsPool { boards } => write!(
                 f,
                 "hedged dispatch needs at least 2 boards to re-offer to (got {boards})"
@@ -491,6 +514,17 @@ impl ServeConfig {
     /// [`TrafficSim::new`] re-checks so a hand-assembled struct literal
     /// cannot smuggle an invalid combo past the builder.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.boards == 0 {
+            return Err(ConfigError::ZeroBoards);
+        }
+        if self.queue_capacity == 0 {
+            return Err(ConfigError::ZeroQueueCapacity);
+        }
+        if !(self.compute_speedup > 0.0 && self.compute_speedup.is_finite()) {
+            return Err(ConfigError::NonPositiveSpeedup {
+                speedup: self.compute_speedup,
+            });
+        }
         if let Some(secs) = self.default_deadline_secs {
             if !(secs > 0.0 && secs.is_finite()) {
                 return Err(ConfigError::NonPositiveDeadline { secs });
@@ -712,7 +746,8 @@ impl ServeConfigBuilder {
     }
 
     /// Validates and returns the configuration. Errors on the documented
-    /// incompatible combinations ([`ConfigError`]): hedging on fewer
+    /// incompatible combinations ([`ConfigError`]): an empty pool or
+    /// admission queue, a non-positive compute speedup, hedging on fewer
     /// than two boards or under pipelining, and non-positive deadlines
     /// or hedge factors.
     pub fn build(self) -> Result<ServeConfig, ConfigError> {
@@ -721,10 +756,11 @@ impl ServeConfigBuilder {
     }
 }
 
-/// A dispatched request flowing through a board's staged pipeline
-/// (pipelined mode only); the timestamps accumulate as stages complete.
+/// A dispatched request, priced at dispatch. The serial leg prices its
+/// board visit from it; in pipelined mode it flows through the board's
+/// staged pipeline and the timestamps accumulate as stages complete.
 #[derive(Debug, Clone, Copy)]
-struct Pipelined {
+struct Dispatched {
     tenant: usize,
     /// Per-run monotone request id linking this request's trace spans.
     trace_id: u64,
@@ -755,6 +791,25 @@ struct Pipelined {
     cum_delta: u64,
     entry_preprocess_secs: f64,
     partial: bool,
+}
+
+impl Dispatched {
+    /// The completion record of this request served on `board`.
+    fn completion(&self, board: usize, latency: RequestLatency) -> Completion {
+        Completion {
+            tenant: self.tenant,
+            board,
+            arrival_secs: self.arrival_secs,
+            latency,
+            host_bytes: self.host_bytes,
+            switch_bytes: self.switch_bytes,
+            bucket: self.bucket,
+            graph_bytes: self.graph_bytes,
+            cum_delta: self.cum_delta,
+            entry_preprocess_secs: self.entry_preprocess_secs,
+            cached: false,
+        }
+    }
 }
 
 /// Queued event payloads. Kept pointer-small on purpose: the completion
@@ -794,7 +849,7 @@ enum EventKind {
 
 /// The deferred payload of a `ServiceDone` event, slab-resident between
 /// the completion's scheduling and its pop.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Completion {
     tenant: usize,
     board: usize,
@@ -816,25 +871,6 @@ struct Completion {
     cached: bool,
 }
 
-/// FNV-1a accumulator for the order-sensitive event-trace digest.
-#[derive(Debug, Clone, Copy)]
-struct TraceDigest(u64);
-
-impl TraceDigest {
-    fn new() -> Self {
-        TraceDigest(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn push(&mut self, word: u64) {
-        let mut h = self.0;
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        self.0 = h;
-    }
-}
-
 /// The multi-tenant traffic simulator over a board pool.
 #[derive(Debug)]
 pub struct TrafficSim {
@@ -843,89 +879,8 @@ pub struct TrafficSim {
     pool: BoardPool,
 }
 
-/// Mutable tallies shared by the serial and pipelined completion paths.
-struct RunStats {
-    tenants: Vec<TenantStats>,
-    /// Per-tenant SLO budgets ([`TenantSpec::slo_secs`]); violations are
-    /// counted here, independent of the scheduler in force.
-    slo: Vec<Option<f64>>,
-    /// Per-tenant effective deadlines ([`TenantSpec::deadline_secs`]
-    /// with [`ServeConfig::default_deadline_secs`] as the fallback);
-    /// completions strictly past them count as served-late, not goodput.
-    deadlines: Vec<Option<f64>>,
-    /// The wasted-work ledger: bytes moved and board seconds spent on
-    /// work no client waited for (aborted stages, hedge-loser legs,
-    /// past-deadline completions).
-    wasted_work_bytes: u64,
-    wasted_secs: f64,
-    stages: StageHistograms,
-    requests: Vec<CompletedRequest>,
-    /// Aggregate stall attribution over completed requests (each
-    /// request's six components sum to its end-to-end latency).
-    stall: StallBreakdown,
-    reconfigs: u64,
-    reconfig_secs: f64,
-    overlap_secs: f64,
-    last_board_free: f64,
-}
-
-impl RunStats {
-    #[allow(clippy::too_many_arguments)]
-    fn complete(
-        &mut self,
-        tenant: usize,
-        arrival_secs: f64,
-        latency: RequestLatency,
-        host_bytes: u64,
-        switch_bytes: u64,
-        log: bool,
-    ) -> RequestOutcome {
-        let budget = self.slo[tenant];
-        // Strictly past the deadline only: completing at the exact
-        // instant is still goodput (the same boundary in-queue expiry
-        // uses).
-        let late = self.deadlines[tenant].is_some_and(|d| latency.total() > d);
-        let outcome = if late {
-            RequestOutcome::ServedLate
-        } else {
-            RequestOutcome::Served
-        };
-        let t = &mut self.tenants[tenant];
-        t.completed += 1;
-        t.outcomes.record(outcome);
-        t.latency.record(latency.total());
-        if !late {
-            t.goodput_latency.record(latency.total());
-        }
-        t.queue_wait.record(latency.queue_secs);
-        if budget.is_some_and(|budget| latency.total() > budget) {
-            t.slo_violations += 1;
-        }
-        t.board_secs += latency.board_secs();
-        if late {
-            // A completion the client abandoned is pure wasted work:
-            // the whole board visit and every byte it moved.
-            self.wasted_secs += latency.board_secs();
-            self.wasted_work_bytes += host_bytes + switch_bytes;
-        }
-        self.stages.record(&latency);
-        self.stall.accumulate(&StallBreakdown::of(&latency));
-        if log {
-            self.requests.push(CompletedRequest {
-                tenant,
-                arrival_secs,
-                latency,
-                host_bytes,
-                switch_bytes,
-                outcome,
-            });
-        }
-        outcome
-    }
-}
-
 /// Per-board pipeline state (pipelined mode only): [`Slab`] handles of
-/// the [`Pipelined`] requests currently ingesting / staged /
+/// the [`Dispatched`] requests currently ingesting / staged /
 /// preprocessing and the hand-offs waiting for the DMA engine — the
 /// payloads stay put in the arena while 4-byte handles move through the
 /// queues. Slot occupancy and busy horizons live on the [`BoardPool`]
@@ -952,18 +907,6 @@ impl Pipeline {
     }
 }
 
-/// The run's engine state: the event queue plus the two slab arenas
-/// holding in-flight payloads (pipeline requests and deferred
-/// completion records). One struct so the event handlers borrow it as a
-/// unit.
-struct Engine {
-    queue: EventQueue<EventKind>,
-    /// Pipelined requests between dispatch and hand-off start.
-    inflight: Slab<Pipelined>,
-    /// `ServiceDone` payloads between scheduling and their pop.
-    completions: Slab<Completion>,
-}
-
 impl TrafficSim {
     /// A simulator over `tenants` with `config`. The board pool is built
     /// here (one forked `AutoGnn` runtime per board) and reset at the
@@ -972,18 +915,12 @@ impl TrafficSim {
     ///
     /// # Panics
     ///
-    /// Panics if `tenants` is empty, the queue capacity or board count is
-    /// zero, the compute speedup or any tenant deadline is not a positive
-    /// finite number, or the config fails [`ServeConfig::validate`]
-    /// (assembling via [`ServeConfig::builder`] surfaces the same rules
-    /// as a typed [`ConfigError`] instead).
+    /// Panics if `tenants` is empty, any tenant deadline is not a
+    /// positive finite number, or the config fails
+    /// [`ServeConfig::validate`] (assembling via [`ServeConfig::builder`]
+    /// surfaces the same rules as a typed [`ConfigError`] instead).
     pub fn new(tenants: Vec<TenantSpec>, config: ServeConfig) -> Self {
         assert!(!tenants.is_empty(), "need at least one tenant");
-        assert!(config.queue_capacity > 0, "queue capacity must be positive");
-        assert!(
-            config.compute_speedup > 0.0 && config.compute_speedup.is_finite(),
-            "compute speedup must be positive and finite"
-        );
         if let Err(err) = config.validate() {
             panic!("invalid ServeConfig: {err}");
         }
@@ -1020,7 +957,7 @@ impl TrafficSim {
     /// residency, busy slots); the pool is reset first, so repeated runs
     /// of the same simulator are identical.
     ///
-    /// This is the fast path: the loop is monomorphized over
+    /// This is the fast path: the run is monomorphized over
     /// [`NullSink`], whose `enabled()` is a constant `false`, so every
     /// span/counter emission compiles out.
     ///
@@ -1043,10 +980,10 @@ impl TrafficSim {
     /// assert_eq!(a.trace_digest, b.trace_digest);
     /// ```
     pub fn run(&mut self) -> TrafficReport {
-        self.run_traced_impl(&mut NullSink)
+        Run::new(self, &mut NullSink).run_to_end()
     }
 
-    /// [`run`](TrafficSim::run) with the event loop narrating spans and
+    /// [`run`](TrafficSim::run) with the run narrating spans and
     /// counters into `sink` (see the [module docs](self) for the emission
     /// sites). Sinks are write-only, so the report — digest included — is
     /// bit-for-bit the untraced run's.
@@ -1070,1149 +1007,775 @@ impl TrafficSim {
     /// assert!(recorder.spans().count() > 0);
     /// ```
     pub fn run_traced(&mut self, sink: &mut dyn TraceSink) -> TrafficReport {
-        self.run_traced_impl(sink)
+        Run::new(self, sink).run_to_end()
     }
+}
 
-    /// The event loop, generic over the sink so [`run`](TrafficSim::run)
-    /// monomorphizes tracing away while
-    /// [`run_traced`](TrafficSim::run_traced) keeps dynamic sinks.
-    fn run_traced_impl<S: TraceSink + ?Sized>(&mut self, sink: &mut S) -> TrafficReport {
+/// The state of one simulation run: the semantics side of the event
+/// loop. Each [`EventKind`] has its handler method and [`Run::dispatch`]
+/// places waiting work on free boards; all of them report what they
+/// decided to the [`Narrator`], which they cannot read back.
+///
+/// The handlers of the opt-in subsystems (deadlines, hedging, the result
+/// cache) are `#[inline(never)]`: runs that leave those knobs off never
+/// call them, and keeping them out of the inlined event loop holds the
+/// default path at the speed of the single-function loop it replaced.
+struct Run<'a, S: TraceSink + ?Sized> {
+    cfg: ServeConfig,
+    tenants: &'a [TenantSpec],
+    pool: &'a mut BoardPool,
+    pcie: PcieModel,
+    switch: PcieSwitchModel,
+    inference: GpuInferenceModel,
+    queue: EventQueue<EventKind>,
+    /// Pipelined requests between dispatch and hand-off start.
+    inflight: Slab<Dispatched>,
+    /// `ServiceDone` payloads between scheduling and their pop.
+    completions: Slab<Completion>,
+    pipe: Pipeline,
+    arrivals: ArrivalSource,
+    /// Arrivals generated so far (the offered load).
+    offered: u64,
+    /// The pluggable admission/dispatch scheduler (see the module docs'
+    /// "scheduler seam"), statically dispatched.
+    sched: Scheduler,
+    /// Effective per-tenant deadlines: the tenant's own, falling back to
+    /// the pool-wide default. With every entry `None` the expiry pass,
+    /// the abort events and the served-late split are all skipped — the
+    /// deadline Off-equivalence invariant.
+    deadlines: Vec<Option<f64>>,
+    deadlines_on: bool,
+    /// The shared latency EWMA driving the hedge trigger (SLO-aware
+    /// scheduling owns its own instance inside the policy).
+    predictor: LatencyPredictor,
+    /// Scratch for the expiry pass, reused across events.
+    expired: Vec<Request>,
+    /// Pure cost-model results memoized per tenant drift bucket — speed
+    /// only, never the schedule (see [`CostMemo`]).
+    memo: CostMemo,
+    /// The subgraph result cache ([`crate::cache`]). With `Off` every
+    /// touch is skipped, so the uncached schedule replays bit-for-bit.
+    cache: ResultCache,
+    /// The next per-run request id: spans carry it, and the deadline
+    /// alarm tags it against recycled slab slots.
+    next_trace_id: u64,
+    wall_start: Instant,
+    narr: Narrator<'a, S>,
+}
+
+impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
+    /// Resets `sim`'s pool and primes the first arrival of every tenant.
+    fn new(sim: &'a mut TrafficSim, sink: &'a mut S) -> Self {
         let wall_start = Instant::now();
-        let cfg = self.config;
-        let TrafficSim { tenants, pool, .. } = self;
+        let cfg = sim.config;
+        let tenants = &sim.tenants[..];
+        let pool = &mut sim.pool;
         pool.reset();
-        // Multi-board (or pipelined) runs tag reconfiguration and
-        // completion digest words with the board index; the single-board
-        // serial layout is frozen so PR 1 digests stay reproducible.
-        let tag_boards = pool.size() > 1 || cfg.overlap;
-        let pcie = pool.pcie();
-        let switch = pool.switch();
-        let inference_model = GpuInferenceModel::default();
-
         // Size the calendar-queue buckets off the offered load: at the
         // tenants' combined peak rate one bucket holds a handful of
         // events. Width only moves constants, never ordering.
         let total_peak: f64 = tenants.iter().map(|t| t.arrival.peak_rate()).sum();
         let width_secs = (1.0 / (4.0 * total_peak)).clamp(1e-6, 1.0);
-        let mut engine = Engine {
-            queue: EventQueue::with_width(width_secs),
-            inflight: Slab::with_capacity(4 * pool.size()),
-            completions: Slab::with_capacity(4 * pool.size()),
-        };
-
-        // Independent seeded arrival streams, pre-generated in batches
-        // (bit-identical to on-demand draws — the streams are
-        // schedule-independent); the first arrival of every tenant
-        // primes the queue.
-        let mut arrivals = ArrivalSource::new(tenants, cfg.seed);
-        let mut offered = 0u64;
-        for i in 0..tenants.len() {
-            if offered < cfg.total_requests {
-                let at = arrivals.next(i);
-                engine.queue.push(at, EventKind::Arrival { tenant: i });
-                offered += 1;
-            }
-        }
-
-        // The pluggable admission/dispatch scheduler (see the module
-        // docs' "scheduler seam"): `Fifo` is the pre-refactor bounded
-        // queue bit-for-bit. The enum form keeps the per-event
-        // admit/scan/take calls statically dispatched.
-        let mut sched = cfg.scheduler.instantiate(tenants, cfg.queue_capacity);
-        // Effective per-tenant deadlines: the tenant's own, falling back
-        // to the pool-wide default. With every entry `None` the expiry
-        // pass, the abort events and the served-late split are all
-        // skipped — the deadline Off-equivalence invariant.
         let deadlines: Vec<Option<f64>> = tenants
             .iter()
             .map(|t| t.deadline_secs.or(cfg.default_deadline_secs))
             .collect();
-        let deadlines_on = deadlines.iter().any(Option::is_some);
-        let hedge_on = cfg.hedge.enabled();
-        // The shared latency EWMA driving the hedge trigger (SLO-aware
-        // scheduling owns its own instance inside the policy).
-        let mut predictor = LatencyPredictor::new(tenants.len());
-        // Scratch for the expiry pass, reused across events.
-        let mut expired: Vec<Request> = Vec::new();
-        // Pure cost-model results (workloads, library-optimal configs,
-        // expansion sums, fabric reports, reconfig verdicts), memoized
-        // per tenant drift bucket — speed only, never the schedule (see
-        // [`CostMemo`]).
-        let mut memo = CostMemo::new(tenants.len(), cfg.drift_step_secs);
-        // The subgraph result cache ([`crate::cache`]). With `Off` every
-        // touch below is skipped, so the uncached schedule — and every
-        // golden digest — replays bit-for-bit.
-        let mut cache = ResultCache::new(cfg.cache, tenants.len());
-        let cache_on = cache.enabled();
-
-        let mut stats = RunStats {
-            tenants: tenants
-                .iter()
-                .map(|t| TenantStats {
-                    name: t.name.clone(),
-                    latency: LatencyHistogram::default(),
-                    ..TenantStats::default()
-                })
-                .collect(),
-            slo: tenants.iter().map(|t| t.slo_secs).collect(),
-            deadlines: deadlines.clone(),
-            wasted_work_bytes: 0,
-            wasted_secs: 0.0,
-            stages: StageHistograms::default(),
-            requests: Vec::new(),
-            stall: StallBreakdown::default(),
-            reconfigs: 0,
-            reconfig_secs: 0.0,
-            overlap_secs: 0.0,
-            last_board_free: 0.0,
+        let mut run = Run {
+            narr: Narrator::new(tenants, &cfg, &deadlines, sink),
+            cfg,
+            tenants,
+            pcie: pool.pcie(),
+            switch: pool.switch(),
+            inference: GpuInferenceModel::default(),
+            queue: EventQueue::with_width(width_secs),
+            inflight: Slab::with_capacity(4 * cfg.boards),
+            completions: Slab::with_capacity(4 * cfg.boards),
+            pipe: Pipeline::new(cfg.boards),
+            // Independent seeded arrival streams, pre-generated in
+            // batches (bit-identical to on-demand draws — the streams
+            // are schedule-independent).
+            arrivals: ArrivalSource::new(tenants, cfg.seed),
+            offered: 0,
+            sched: cfg.scheduler.instantiate(tenants, cfg.queue_capacity),
+            deadlines_on: deadlines.iter().any(Option::is_some),
+            deadlines,
+            predictor: LatencyPredictor::new(tenants.len()),
+            expired: Vec::new(),
+            memo: CostMemo::new(tenants.len(), cfg.drift_step_secs),
+            cache: ResultCache::new(cfg.cache, tenants.len()),
+            next_trace_id: 0,
+            wall_start,
+            pool,
         };
-        let mut depth = DepthTimeline::with_stride(cfg.depth_stride);
-        let mut digest = TraceDigest::new();
-        let mut pipe = Pipeline::new(pool.size());
-        // Self-metrics (events popped, wall clock) and the monotone
-        // request id spans carry — none of it feeds back into the
-        // schedule.
+        for tenant in 0..tenants.len() {
+            run.offer_next(tenant);
+        }
+        run
+    }
+
+    /// Pops events until the queue drains, then closes the report.
+    fn run_to_end(mut self) -> TrafficReport {
         let mut events = 0u64;
-        let mut next_trace_id = 0u64;
-
-        while let Some((now, kind)) = engine.queue.pop() {
+        while let Some((now, kind)) = self.queue.pop() {
             events += 1;
-            if deadlines_on {
-                // In-queue expiry: before handling the event, drop every
-                // queued request whose deadline has (strictly) passed —
-                // it can no longer dispatch, so no board work is wasted
-                // on it. Coalesced duplicates parked on an expired
-                // primary expire with it: nothing else would ever
-                // complete them.
-                sched.expire(now, &deadlines, &mut expired);
-                if !expired.is_empty() {
-                    for rq in expired.drain(..) {
-                        stats.tenants[rq.tenant]
-                            .outcomes
-                            .record(RequestOutcome::ExpiredInQueue);
-                        digest.push(0xE1);
-                        digest.push(rq.tenant as u64);
-                        let trace_id = next_trace_id;
-                        next_trace_id += 1;
-                        if sink.enabled() {
-                            sink.span(Span {
-                                track: Track::Queue,
-                                kind: SpanKind::Cancelled,
-                                tenant: rq.tenant,
-                                request: trace_id,
-                                begin_secs: rq.arrival_secs,
-                                end_secs: now,
-                            });
-                        }
-                        if cache_on {
-                            for _waiter in cache.cancel(rq.tenant, rq.arrival_secs) {
-                                stats.tenants[rq.tenant]
-                                    .outcomes
-                                    .record(RequestOutcome::ExpiredInQueue);
-                                digest.push(0xE1);
-                                digest.push(rq.tenant as u64);
-                            }
-                        }
-                    }
-                    depth.record(now, sched.len());
-                    if sink.enabled() {
-                        sink.counter(CounterSample {
-                            kind: CounterKind::QueueDepth,
-                            time_secs: now,
-                            value: sched.len() as f64,
-                        });
-                    }
-                }
+            if self.deadlines_on {
+                self.expire_queued(now);
             }
-            match kind {
-                EventKind::Arrival { tenant } => {
-                    digest.push(0xA1);
-                    digest.push(tenant as u64);
-                    digest.push(now.to_bits());
-                    // Keep the tenant's stream flowing while load remains.
-                    if offered < cfg.total_requests {
-                        let at = arrivals.next(tenant);
-                        engine.queue.push(at, EventKind::Arrival { tenant });
-                        offered += 1;
-                    }
-                    // The cache consult, before the request ever queues:
-                    // a fresh entry whose graph is still board-resident
-                    // completes at lookup cost without a board slot; a
-                    // duplicate of an in-flight request parks on that
-                    // primary (hit-under-miss).
-                    if cache_on {
-                        let spec = &tenants[tenant];
-                        let bucket = spec.drift_bucket(now, cfg.drift_step_secs);
-                        let costs = memo.bucket_costs(tenant, spec, now, &inference_model);
-                        cache.observe(tenant, bucket, costs.coo_bytes);
-                        let resident = pool.resident_boards(tenant).next().is_some();
-                        if cache.full_hit(tenant, bucket, resident).is_some() {
-                            stats.tenants[tenant].cache_hits += 1;
-                            digest.push(0xCA);
-                            digest.push(tenant as u64);
-                            if sink.enabled() {
-                                let s = cache.stats();
-                                sink.counter(CounterSample {
-                                    kind: CounterKind::CacheHits,
-                                    time_secs: now,
-                                    value: (s.hits + s.partial_hits) as f64,
-                                });
-                            }
-                            let latency = RequestLatency {
-                                cache_secs: CACHE_LOOKUP_SECS,
-                                ..RequestLatency::default()
-                            };
-                            let completion = engine.completions.insert(Completion {
-                                tenant,
-                                board: 0,
-                                arrival_secs: now,
-                                latency,
-                                host_bytes: 0,
-                                switch_bytes: 0,
-                                bucket,
-                                graph_bytes: 0,
-                                cum_delta: 0,
-                                entry_preprocess_secs: 0.0,
-                                cached: true,
-                            });
-                            engine.queue.push(
-                                now + CACHE_LOOKUP_SECS,
-                                EventKind::ServiceDone { completion },
-                            );
-                            continue;
-                        }
-                        if cache.park(tenant, bucket, now) {
-                            stats.tenants[tenant].cache_coalesced += 1;
-                            digest.push(0xC0);
-                            digest.push(tenant as u64);
-                            continue;
-                        }
-                    }
-                    // Bounded admission: the scheduler's refusal (shared
-                    // queue full, or a per-tenant quota exhausted) is the
-                    // drop path — counted, never silently lost.
-                    if !sched.admit(Request {
-                        tenant,
-                        arrival_secs: now,
-                    }) {
-                        stats.tenants[tenant].dropped += 1;
-                        stats.tenants[tenant]
-                            .outcomes
-                            .record(RequestOutcome::DroppedAtAdmission);
-                        digest.push(0xD0);
-                        continue;
-                    }
-                    if cache_on {
-                        // Admitted: duplicate arrivals of the same bucket
-                        // may now coalesce onto this primary until its
-                        // completion fills the cache. (Dropped arrivals
-                        // never register, so waiters cannot be orphaned.)
-                        let bucket = tenants[tenant].drift_bucket(now, cfg.drift_step_secs);
-                        cache.register(tenant, bucket, now);
-                    }
-                    depth.record(now, sched.len());
-                    if sink.enabled() {
-                        sink.counter(CounterSample {
-                            kind: CounterKind::QueueDepth,
-                            time_secs: now,
-                            value: sched.len() as f64,
-                        });
-                    }
-                }
-                EventKind::IngestDone { board } => {
-                    let handle = pipe.ingesting[board]
-                        .take()
-                        .expect("ingest completion without an ingest in flight");
-                    pool.release_dma(board);
-                    let rq = engine.inflight.get_mut(handle);
-                    rq.ingest_done_secs = now;
-                    let tenant = rq.tenant;
-                    digest.push(0x16);
-                    digest.push(tenant as u64);
-                    digest.push(board as u64);
-                    if pool.fabric_free(board) && pipe.staged[board].is_empty() {
-                        start_fabric(
-                            handle,
-                            board,
-                            now,
-                            pool,
-                            &mut pipe,
-                            &mut stats,
-                            &sched,
-                            &mut digest,
-                            &cfg,
-                            sink,
-                            &mut engine,
-                            &mut memo,
-                        );
-                    } else {
-                        pool.stage(board);
-                        pipe.staged[board].push_back(handle);
-                    }
-                    // The freed DMA engine drains any waiting hand-off.
-                    start_handoff(
-                        board,
-                        now,
-                        pool,
-                        &mut pipe,
-                        &mut stats,
-                        &pcie,
-                        sink,
-                        &mut engine,
-                    );
-                }
-                EventKind::FabricDone { board } => {
-                    let handle = pipe.in_fabric[board]
-                        .take()
-                        .expect("fabric completion without a request in the fabric");
-                    pool.release_fabric(board);
-                    let rq = engine.inflight.get_mut(handle);
-                    rq.fabric_done_secs = now;
-                    let tenant = rq.tenant;
-                    digest.push(0xFB);
-                    digest.push(tenant as u64);
-                    digest.push(board as u64);
-                    pipe.handoffs[board].push_back(handle);
-                    pool.add_pending_handoffs(board, 1);
-                    start_handoff(
-                        board,
-                        now,
-                        pool,
-                        &mut pipe,
-                        &mut stats,
-                        &pcie,
-                        sink,
-                        &mut engine,
-                    );
-                    // The earliest staged request acquires the fabric
-                    // immediately.
-                    if let Some(staged) = pipe.staged[board].pop_front() {
-                        pool.unstage(board);
-                        start_fabric(
-                            staged,
-                            board,
-                            now,
-                            pool,
-                            &mut pipe,
-                            &mut stats,
-                            &sched,
-                            &mut digest,
-                            &cfg,
-                            sink,
-                            &mut engine,
-                            &mut memo,
-                        );
-                    }
-                }
-                EventKind::MigrationDone { board } => {
-                    // The outbound switch leg finished: the source board's
-                    // DMA engine stops streaming the graph out and frees.
-                    pool.release_dma(board);
-                    digest.push(0x37);
-                    digest.push(board as u64);
-                    if cfg.overlap {
-                        start_handoff(
-                            board,
-                            now,
-                            pool,
-                            &mut pipe,
-                            &mut stats,
-                            &pcie,
-                            sink,
-                            &mut engine,
-                        );
-                    }
-                }
-                EventKind::ServiceDone { completion } => {
-                    let Completion {
-                        tenant,
-                        board,
-                        arrival_secs,
-                        latency,
-                        host_bytes,
-                        switch_bytes,
-                        bucket,
-                        graph_bytes,
-                        cum_delta,
-                        entry_preprocess_secs,
-                        cached,
-                    } = engine.completions.remove(completion);
-                    let outcome = stats.complete(
-                        tenant,
-                        arrival_secs,
-                        latency,
-                        host_bytes,
-                        switch_bytes,
-                        cfg.log_requests,
-                    );
-                    // Latency feedback for SLO-aware scheduling, and for
-                    // the hedge trigger's shared predictor.
-                    sched.on_complete(tenant, &latency, now);
-                    if hedge_on {
-                        predictor.observe(tenant, latency.total());
-                    }
-                    if outcome == RequestOutcome::ServedLate && sink.enabled() {
-                        sink.counter(CounterSample {
-                            kind: CounterKind::WastedWork,
-                            time_secs: now,
-                            value: stats.wasted_work_bytes as f64,
-                        });
-                    }
-                    digest.push(0x5D);
-                    digest.push(tenant as u64);
-                    digest.push(latency.total().to_bits());
-                    if cached {
-                        // A cache-served completion never held a board:
-                        // nothing to release, no entry to refill.
-                        stats.last_board_free = now;
-                        continue;
-                    }
-                    if tag_boards {
-                        digest.push(board as u64);
-                    }
-                    if cfg.overlap {
-                        pool.release_dma(board);
-                        pool.complete(board);
-                        start_handoff(
-                            board,
-                            now,
-                            pool,
-                            &mut pipe,
-                            &mut stats,
-                            &pcie,
-                            sink,
-                            &mut engine,
-                        );
-                    } else {
-                        pool.release(board);
-                    }
-                    stats.last_board_free = now;
-                    if cache_on {
-                        // Refill the tenant's cache entry from this
-                        // board-served completion and drain any arrivals
-                        // that coalesced onto it while it was in flight.
-                        // The entry's service cost substitutes the *paid*
-                        // preprocess share with the entry's own (a partial
-                        // hit paid 0 but reuses an entry worth `saved`).
-                        let service_secs = latency.board_secs() - latency.preprocess_secs
-                            + entry_preprocess_secs
-                            + latency.inference_secs;
-                        let waiters = cache.fill(
-                            tenant,
-                            bucket,
-                            graph_bytes,
-                            cum_delta,
-                            entry_preprocess_secs,
-                            service_secs,
-                            arrival_secs,
-                        );
-                        for waited_since in waiters {
-                            let wl = RequestLatency {
-                                cache_secs: now - waited_since,
-                                ..RequestLatency::default()
-                            };
-                            stats.complete(tenant, waited_since, wl, 0, 0, cfg.log_requests);
-                            sched.on_complete(tenant, &wl, now);
-                            if hedge_on {
-                                predictor.observe(tenant, wl.total());
-                            }
-                            digest.push(0xCE);
-                            digest.push(tenant as u64);
-                            digest.push(wl.total().to_bits());
-                        }
-                    }
-                }
+            let freed = match kind {
+                EventKind::Arrival { tenant } => self.on_arrival(now, tenant),
+                EventKind::IngestDone { board } => self.on_ingest_done(now, board),
+                EventKind::FabricDone { board } => self.on_fabric_done(now, board),
+                EventKind::MigrationDone { board } => self.on_migration_done(now, board),
+                EventKind::ServiceDone { completion } => self.on_service_done(now, completion),
                 EventKind::DeadlineExpired { board, handle, tag } => {
-                    // Tag guard against slab recycling: only a live
-                    // payload whose trace id matches is still this
-                    // request — anything else means it already completed
-                    // (or aborted) and the slot moved on.
-                    let live = engine
-                        .inflight
-                        .try_get(handle)
-                        .is_some_and(|rq| rq.trace_id == tag);
-                    if !live {
-                        continue;
-                    }
-                    // A started stage always runs to completion: only a
-                    // request still *waiting* — in the staging buffer
-                    // for the fabric, or in the hand-off queue for the
-                    // DMA engine — can be abandoned.
-                    let staged_pos = pipe.staged[board].iter().position(|&h| h == handle);
-                    let handoff_pos = pipe.handoffs[board].iter().position(|&h| h == handle);
-                    if staged_pos.is_none() && handoff_pos.is_none() {
-                        continue;
-                    }
-                    if let Some(i) = staged_pos {
-                        pipe.staged[board].remove(i).expect("index in bounds");
-                        pool.unstage(board);
-                    } else if let Some(i) = handoff_pos {
-                        pipe.handoffs[board].remove(i).expect("index in bounds");
-                        pool.add_pending_handoffs(board, -1);
-                    }
-                    let rq = engine.inflight.remove(handle);
-                    stats.tenants[rq.tenant]
-                        .outcomes
-                        .record(RequestOutcome::Aborted);
-                    // The abort writes off everything the board already
-                    // paid: the ingest, plus the reconfiguration and
-                    // fabric pass once the hand-off was queued.
-                    stats.wasted_secs += rq.upload_secs + rq.reconfig_secs + rq.preprocess_secs;
-                    stats.wasted_work_bytes += rq.host_bytes + rq.switch_bytes;
-                    digest.push(0xAB);
-                    digest.push(rq.tenant as u64);
-                    digest.push(board as u64);
-                    if sink.enabled() {
-                        sink.span(Span {
-                            track: Track::Queue,
-                            kind: SpanKind::Cancelled,
-                            tenant: rq.tenant,
-                            request: rq.trace_id,
-                            begin_secs: rq.dispatch_secs,
-                            end_secs: now,
-                        });
-                        sink.counter(CounterSample {
-                            kind: CounterKind::WastedWork,
-                            time_secs: now,
-                            value: stats.wasted_work_bytes as f64,
-                        });
-                    }
-                    if cache_on {
-                        // The abort orphans the in-flight primary: its
-                        // coalesced duplicates expire with it.
-                        for _waiter in cache.cancel(rq.tenant, rq.arrival_secs) {
-                            stats.tenants[rq.tenant]
-                                .outcomes
-                                .record(RequestOutcome::ExpiredInQueue);
-                            digest.push(0xE1);
-                            digest.push(rq.tenant as u64);
-                        }
-                    }
-                    // Fall through to dispatch: the freed staging slot
-                    // may let the board accept a queued request.
+                    self.on_deadline_expired(now, board, handle, tag)
                 }
-                EventKind::HedgeWon { board, tenant } => {
-                    // The cancelled leg's board frees. Both engines were
-                    // held as one serial visit, but `release` would also
-                    // count a completion the loser never made.
-                    pool.release_dma(board);
-                    pool.release_fabric(board);
-                    stats.tenants[tenant]
-                        .outcomes
-                        .record(RequestOutcome::HedgeLoser);
-                    digest.push(0x4F);
-                    digest.push(tenant as u64);
-                    digest.push(board as u64);
-                    stats.last_board_free = now;
-                }
+                EventKind::HedgeWon { board, tenant } => self.on_hedge_won(now, board, tenant),
+            };
+            if freed {
+                self.dispatch(now);
             }
+        }
+        let sim = SimPerf {
+            wall_secs: self.wall_start.elapsed().as_secs_f64(),
+            events,
+        };
+        self.narr
+            .into_report(self.cache.stats(), self.pool.stats(), sim)
+    }
 
-            // Dispatch while boards are free and work waits. Each pass
-            // offers the scheduler's scan order to placement; placement
-            // and the dispatch policy pick the (request, board) pair.
-            while pool.any_free() && !sched.is_empty() {
-                let Some(placement) =
-                    select_dispatch(tenants, &cfg, sched.scan(), &mut memo, pool, now)
-                else {
-                    break;
-                };
-                let (position, board) = match placement {
-                    Placement::Serve { position, board } => (position, board),
-                    Placement::Migrating { position, board } => {
-                        // SplitHot overflow: the queue outgrew its
-                        // threshold with every affine board busy, so the
-                        // front request claims an idle board instead.
-                        digest.push(0x51);
-                        digest.push(board as u64);
-                        (position, board)
-                    }
-                };
-                let request = sched.take(position);
-                depth.record(now, sched.len());
-                // The request id its spans share; the queue span closes
-                // here (arrival → dispatch — the admission scheduler's
-                // share of the latency, cf. the sched module docs).
-                let trace_id = next_trace_id;
-                next_trace_id += 1;
-                if sink.enabled() {
-                    sink.counter(CounterSample {
-                        kind: CounterKind::QueueDepth,
-                        time_secs: now,
-                        value: sched.len() as f64,
-                    });
-                    sink.span(Span {
-                        track: Track::Queue,
-                        kind: SpanKind::Queue,
-                        tenant: request.tenant,
-                        request: trace_id,
-                        begin_secs: request.arrival_secs,
-                        end_secs: now,
-                    });
-                }
-                let tenant = &tenants[request.tenant];
-                let costs = memo.bucket_costs(request.tenant, tenant, now, &inference_model);
-                let workload = costs.workload;
-                let best = memo.best_config(request.tenant, tenant, now, pool);
-                let coo_bytes = costs.coo_bytes;
+    /// Schedules `tenant`'s next arrival while offered load remains.
+    #[inline]
+    fn offer_next(&mut self, tenant: usize) {
+        if self.offered < self.cfg.total_requests {
+            let at = self.arrivals.next(tenant);
+            self.queue.push(at, EventKind::Arrival { tenant });
+            self.offered += 1;
+        }
+    }
 
-                // Classify the dispatch against the result cache: a fresh
-                // entry lets this request skip preprocessing (partial hit
-                // — residency lapsed between arrival and dispatch or the
-                // entry landed while this request queued); otherwise it is
-                // the miss that will refill the entry at completion.
-                let bucket = tenant.drift_bucket(now, cfg.drift_step_secs);
-                let (cache_hit_preprocess, cache_cum_delta) = if cache_on {
-                    cache.observe(request.tenant, bucket, coo_bytes);
-                    let hit = cache.serve_partial(request.tenant, bucket);
-                    match hit {
-                        Some(saved) => {
-                            stats.tenants[request.tenant].cache_partial_hits += 1;
-                            digest.push(0xCF);
-                            digest.push(request.tenant as u64);
-                            digest.push(board as u64);
-                            if sink.enabled() {
-                                let s = cache.stats();
-                                sink.counter(CounterSample {
-                                    kind: CounterKind::CacheHits,
-                                    time_secs: now,
-                                    value: (s.hits + s.partial_hits) as f64,
-                                });
-                            }
-                            (Some(saved), cache.cum_delta(request.tenant))
-                        }
-                        None => {
-                            stats.tenants[request.tenant].cache_misses += 1;
-                            (None, cache.cum_delta(request.tenant))
-                        }
-                    }
-                } else {
-                    (None, 0)
-                };
+    /// In-queue expiry, before each event: drops every queued request
+    /// whose deadline has (strictly) passed — it can no longer dispatch,
+    /// so no board work is wasted on it. Coalesced duplicates parked on
+    /// an expired primary expire with it: nothing else would ever
+    /// complete them.
+    #[inline(never)]
+    fn expire_queued(&mut self, now: f64) {
+        self.sched.expire(now, &self.deadlines, &mut self.expired);
+        if self.expired.is_empty() {
+            return;
+        }
+        let mut expired = std::mem::take(&mut self.expired);
+        for rq in expired.drain(..) {
+            let trace_id = self.next_trace_id;
+            self.next_trace_id += 1;
+            let waiters = self.cancel_waiters(rq.tenant, rq.arrival_secs);
+            self.narr.expired(now, rq, trace_id, waiters);
+        }
+        self.expired = expired;
+        self.narr.queue_depth(now, self.sched.len());
+    }
 
-                // The ingest source: a cold tenant pulls its graph from a
-                // peer board's DRAM over the PCIe switch when the policy
-                // allows and an idle-DMA peer holds a copy; everything
-                // else (warm or no peer) ingests from the host as before.
-                let source = if cfg.migrate.pulls_from_peers()
-                    && pool.resident_bytes(board, request.tenant) == 0
+    /// A dead primary of `tenant` (arrived at `arrival_secs`) orphans its
+    /// coalesced duplicates: drops them from the cache and returns how
+    /// many expire with it.
+    fn cancel_waiters(&mut self, tenant: usize, arrival_secs: f64) -> usize {
+        if !self.cache.enabled() {
+            return 0;
+        }
+        self.cache.cancel(tenant, arrival_secs).len()
+    }
+
+    /// The [`EventKind::Arrival`] handler. Returns whether a dispatch
+    /// pass follows — `false` when the arrival never queued (served from
+    /// the cache, coalesced or dropped). Every handler returns the same.
+    fn on_arrival(&mut self, now: f64, tenant: usize) -> bool {
+        self.narr.arrival(now, tenant);
+        self.offer_next(tenant);
+        if self.cache.enabled() && self.answer_from_cache(now, tenant) {
+            return false;
+        }
+        // Bounded admission: the scheduler's refusal (shared queue full,
+        // or a per-tenant quota exhausted) is the drop path — counted,
+        // never silently lost.
+        let request = Request {
+            tenant,
+            arrival_secs: now,
+        };
+        if !self.sched.admit(request) {
+            self.narr.dropped(tenant);
+            return false;
+        }
+        if self.cache.enabled() {
+            // Admitted: duplicate arrivals of the same bucket may now
+            // coalesce onto this primary until its completion fills the
+            // cache. (Dropped arrivals never register, so waiters cannot
+            // be orphaned.)
+            let bucket = self.tenants[tenant].drift_bucket(now, self.cfg.drift_step_secs);
+            self.cache.register(tenant, bucket, now);
+        }
+        self.narr.queue_depth(now, self.sched.len());
+        true
+    }
+
+    /// The cache consult, before an arrival of `tenant` ever queues: a
+    /// fresh entry whose graph is still board-resident completes at
+    /// lookup cost without a board slot; a duplicate of an in-flight
+    /// request parks on that primary (hit-under-miss). Returns whether
+    /// the cache answered.
+    #[inline(never)]
+    fn answer_from_cache(&mut self, now: f64, tenant: usize) -> bool {
+        let spec = &self.tenants[tenant];
+        let bucket = spec.drift_bucket(now, self.cfg.drift_step_secs);
+        let costs = self.memo.bucket_costs(tenant, spec, now, &self.inference);
+        self.cache.observe(tenant, bucket, costs.coo_bytes);
+        let resident = self.pool.resident_boards(tenant).next().is_some();
+        if self.cache.full_hit(tenant, bucket, resident).is_some() {
+            self.narr.cache_hit(now, tenant, || self.cache.stats());
+            let completion = self.completions.insert(Completion {
+                tenant,
+                arrival_secs: now,
+                latency: RequestLatency {
+                    cache_secs: CACHE_LOOKUP_SECS,
+                    ..RequestLatency::default()
+                },
+                bucket,
+                cached: true,
+                ..Completion::default()
+            });
+            let done = EventKind::ServiceDone { completion };
+            self.queue.push(now + CACHE_LOOKUP_SECS, done);
+            return true;
+        }
+        if self.cache.park(tenant, bucket, now) {
+            self.narr.coalesced(tenant);
+            return true;
+        }
+        false
+    }
+
+    fn on_ingest_done(&mut self, now: f64, board: usize) -> bool {
+        let handle = self.pipe.ingesting[board]
+            .take()
+            .expect("ingest completion without an ingest in flight");
+        self.pool.release_dma(board);
+        let rq = self.inflight.get_mut(handle);
+        rq.ingest_done_secs = now;
+        self.narr.ingest_done(rq.tenant, board);
+        if self.pool.fabric_free(board) && self.pipe.staged[board].is_empty() {
+            self.start_fabric(handle, board, now);
+        } else {
+            self.pool.stage(board);
+            self.pipe.staged[board].push_back(handle);
+        }
+        // The freed DMA engine drains any waiting hand-off.
+        self.start_handoff(board, now);
+        true
+    }
+
+    fn on_fabric_done(&mut self, now: f64, board: usize) -> bool {
+        let handle = self.pipe.in_fabric[board]
+            .take()
+            .expect("fabric completion without a request in the fabric");
+        self.pool.release_fabric(board);
+        let rq = self.inflight.get_mut(handle);
+        rq.fabric_done_secs = now;
+        self.narr.fabric_done(rq.tenant, board);
+        self.pipe.handoffs[board].push_back(handle);
+        self.pool.add_pending_handoffs(board, 1);
+        self.start_handoff(board, now);
+        // The earliest staged request acquires the fabric immediately.
+        if let Some(staged) = self.pipe.staged[board].pop_front() {
+            self.pool.unstage(board);
+            self.start_fabric(staged, board, now);
+        }
+        true
+    }
+
+    /// The outbound switch leg finished: the source board's DMA engine
+    /// stops streaming the graph out and frees.
+    fn on_migration_done(&mut self, now: f64, board: usize) -> bool {
+        self.pool.release_dma(board);
+        self.narr.migration_done(board);
+        if self.cfg.overlap {
+            self.start_handoff(board, now);
+        }
+        true
+    }
+
+    /// Latency feedback for SLO-aware scheduling, and for the hedge
+    /// trigger's shared predictor.
+    fn observe_latency(&mut self, tenant: usize, latency: &RequestLatency, now: f64) {
+        self.sched.on_complete(tenant, latency, now);
+        if self.cfg.hedge.enabled() {
+            self.predictor.observe(tenant, latency.total());
+        }
+    }
+
+    fn on_service_done(&mut self, now: f64, completion: Handle) -> bool {
+        let c = self.completions.remove(completion);
+        self.narr.completed(now, &c);
+        self.observe_latency(c.tenant, &c.latency, now);
+        if c.cached {
+            // A cache-served completion never held a board: nothing to
+            // release, no entry to refill.
+            return false;
+        }
+        if self.cfg.overlap {
+            self.pool.release_dma(c.board);
+            self.pool.complete(c.board);
+            self.start_handoff(c.board, now);
+        } else {
+            self.pool.release(c.board);
+        }
+        if self.cache.enabled() {
+            self.refill_cache(now, &c);
+        }
+        true
+    }
+
+    /// Refills `c`'s cache entry from this board-served completion and
+    /// drains any arrivals that coalesced onto it while it was in flight.
+    #[inline(never)]
+    fn refill_cache(&mut self, now: f64, c: &Completion) {
+        // The entry's service cost substitutes the *paid* preprocess
+        // share with the entry's own (a partial hit paid 0 but reuses an
+        // entry worth `saved`).
+        let service_secs = c.latency.board_secs() - c.latency.preprocess_secs
+            + c.entry_preprocess_secs
+            + c.latency.inference_secs;
+        let waiters = self.cache.fill(
+            c.tenant,
+            c.bucket,
+            c.graph_bytes,
+            c.cum_delta,
+            c.entry_preprocess_secs,
+            service_secs,
+            c.arrival_secs,
+        );
+        for waited_since in waiters {
+            let latency = RequestLatency {
+                cache_secs: now - waited_since,
+                ..RequestLatency::default()
+            };
+            self.narr.waiter_served(c.tenant, waited_since, latency);
+            self.observe_latency(c.tenant, &latency, now);
+        }
+    }
+
+    /// Aborts a dispatched request still *waiting* past its deadline —
+    /// in the staging buffer for the fabric, or in the hand-off queue for
+    /// the DMA engine. A started stage always runs to completion.
+    #[inline(never)]
+    fn on_deadline_expired(&mut self, now: f64, board: usize, handle: Handle, tag: u64) -> bool {
+        // Tag guard against slab recycling: only a live payload whose
+        // trace id matches is still this request — anything else means
+        // it already completed (or aborted) and the slot moved on.
+        let live = self
+            .inflight
+            .try_get(handle)
+            .is_some_and(|rq| rq.trace_id == tag);
+        if !live {
+            return false;
+        }
+        if let Some(i) = self.pipe.staged[board].iter().position(|&h| h == handle) {
+            self.pipe.staged[board].remove(i);
+            self.pool.unstage(board);
+        } else if let Some(i) = self.pipe.handoffs[board].iter().position(|&h| h == handle) {
+            self.pipe.handoffs[board].remove(i);
+            self.pool.add_pending_handoffs(board, -1);
+        } else {
+            return false;
+        }
+        let rq = self.inflight.remove(handle);
+        let waiters = self.cancel_waiters(rq.tenant, rq.arrival_secs);
+        self.narr.aborted(now, board, &rq, waiters);
+        // The freed staging slot may let the board accept a queued
+        // request.
+        true
+    }
+
+    /// The cancelled leg's board frees. Both engines were held as one
+    /// serial visit, but `release` would also count a completion the
+    /// loser never made.
+    #[inline(never)]
+    fn on_hedge_won(&mut self, now: f64, board: usize, tenant: usize) -> bool {
+        self.pool.release_dma(board);
+        self.pool.release_fabric(board);
+        self.narr.hedge_lost(now, tenant, board);
+        true
+    }
+
+    /// Dispatches while boards are free and work waits. Each pass offers
+    /// the scheduler's scan order to placement; placement and the
+    /// dispatch policy pick the (request, board) pair, which then runs
+    /// the serial or the pipelined lifecycle.
+    fn dispatch(&mut self, now: f64) {
+        while self.pool.any_free() && !self.sched.is_empty() {
+            let mut scan = Scan {
+                tenants: self.tenants,
+                memo: &mut self.memo,
+                pool: self.pool,
+                now,
+            };
+            let Some(placement) = select_dispatch(&self.cfg, self.sched.scan(), &mut scan) else {
+                break;
+            };
+            let (position, board, split) = match placement {
+                Placement::Serve { position, board } => (position, board, None),
+                // SplitHot overflow: the queue outgrew its threshold with
+                // every affine board busy, so the front request claims an
+                // idle board instead.
+                Placement::Migrating { position, board } => (position, board, Some(board)),
+            };
+            let request = self.sched.take(position);
+            let trace_id = self.next_trace_id;
+            self.next_trace_id += 1;
+            let depth = self.sched.len();
+            self.narr.dispatched(now, request, trace_id, depth, split);
+            let rq = self.price_ingest(now, request, trace_id, board);
+            if self.cfg.overlap {
+                self.dispatch_pipelined(now, rq, board);
+            } else {
+                self.dispatch_serial(now, rq, board);
+            }
+        }
+    }
+
+    /// Prices a dispatch of `request` to `board` up to its ingest:
+    /// classifies it against the result cache and moves the tenant's
+    /// graph onto the board — from a peer's DRAM over the switch when
+    /// the policy allows and an idle-DMA peer holds a copy, from the
+    /// host otherwise.
+    fn price_ingest(
+        &mut self,
+        now: f64,
+        request: Request,
+        trace_id: u64,
+        board: usize,
+    ) -> Dispatched {
+        let tenant = request.tenant;
+        let spec = &self.tenants[tenant];
+        let costs = self.memo.bucket_costs(tenant, spec, now, &self.inference);
+        let best = self.memo.best_config(tenant, spec, now, self.pool);
+        // A fresh entry lets this request skip preprocessing (partial
+        // hit — residency lapsed between arrival and dispatch or the
+        // entry landed while this request queued); otherwise it is the
+        // miss that will refill the entry at completion.
+        let bucket = spec.drift_bucket(now, self.cfg.drift_step_secs);
+        let (partial, cum_delta) = if self.cache.enabled() {
+            self.cache.observe(tenant, bucket, costs.coo_bytes);
+            let partial = self.cache.serve_partial(tenant, bucket);
+            match partial {
+                Some(_) => self
+                    .narr
+                    .partial_hit(now, tenant, board, || self.cache.stats()),
+                None => self.narr.cache_miss(tenant),
+            }
+            (partial, self.cache.cum_delta(tenant))
+        } else {
+            (None, 0)
+        };
+        let mut rq = Dispatched {
+            tenant,
+            trace_id,
+            arrival_secs: request.arrival_secs,
+            dispatch_secs: now,
+            workload: costs.workload,
+            best,
+            subgraph_bytes: costs.subgraph_bytes,
+            inference_secs: costs.inference_secs,
+            upload_secs: 0.0,
+            ingest_done_secs: now,
+            fabric_start_secs: now,
+            fabric_done_secs: now,
+            reconfig_secs: 0.0,
+            preprocess_secs: 0.0,
+            host_bytes: 0,
+            switch_bytes: 0,
+            bucket,
+            graph_bytes: costs.coo_bytes,
+            cum_delta,
+            entry_preprocess_secs: partial.unwrap_or(0.0),
+            partial: partial.is_some(),
+        };
+        let source = if self.cfg.migrate.pulls_from_peers()
+            && self.pool.resident_bytes(board, tenant) == 0
+        {
+            self.pool.peer_source(tenant, board)
+        } else {
+            None
+        };
+        let mut switch_secs = 0.0;
+        if let Some(source) = source {
+            let transfer = self
+                .pool
+                .migrate_ingest(board, source, tenant, costs.coo_bytes);
+            switch_secs = self.switch.transfer_secs(transfer.switch_bytes);
+            let done = now + switch_secs;
+            // The outbound leg holds the source board's DMA engine until
+            // `MigrationDone` releases it.
+            self.pool.occupy_dma(source, now, done);
+            if self.cfg.overlap {
+                self.overlap_fabric(source, now, done);
+            }
+            self.narr.migrated_out(&rq, board, source, now, done);
+            self.queue
+                .push(done, EventKind::MigrationDone { board: source });
+            rq.host_bytes = transfer.host_bytes;
+            rq.switch_bytes = transfer.switch_bytes;
+        } else {
+            rq.host_bytes = self.pool.upload_delta(board, tenant, costs.coo_bytes);
+        }
+        // Residency moved (upload delta or migrated prefix).
+        let resident = || self.pool.resident_total_bytes(board);
+        self.narr.residency(now, board, resident);
+        rq.upload_secs = switch_secs + self.pcie.transfer_secs(rq.host_bytes);
+        rq
+    }
+
+    /// Pipelined: occupy only `board`'s DMA engine; the fabric (and the
+    /// reconfiguration decision) waits until the delta has landed.
+    fn dispatch_pipelined(&mut self, now: f64, mut rq: Dispatched, board: usize) {
+        let done = now + rq.upload_secs;
+        self.pool.occupy_dma(board, now, done);
+        self.overlap_fabric(board, now, done);
+        self.narr.ingest(&rq, board, now, done);
+        rq.ingest_done_secs = done;
+        rq.fabric_start_secs = done;
+        rq.fabric_done_secs = done;
+        let handle = self.inflight.insert(rq);
+        self.pipe.ingesting[board] = Some(handle);
+        self.queue.push(done, EventKind::IngestDone { board });
+        if let Some(deadline) = self.deadlines[rq.tenant] {
+            // Stage-abort alarm: if the request still waits on an
+            // unstarted stage when this pops, its slot is abandoned.
+            // Tagged with the trace id so a recycled slab slot cannot be
+            // mis-aborted.
+            let tag = rq.trace_id;
+            let alarm = EventKind::DeadlineExpired { board, handle, tag };
+            self.queue.push(rq.arrival_secs + deadline, alarm);
+        }
+    }
+
+    /// Serial: `board` pays every stage back to back and both slots stay
+    /// held — the PR 1/PR 2 schedule bit-for-bit. With hedging on, a
+    /// request whose queue wait outran the predicted tail is priced on a
+    /// second free board too, and the faster leg wins.
+    fn dispatch_serial(&mut self, now: f64, mut rq: Dispatched, board: usize) {
+        let tenant = rq.tenant;
+        // A partial hit reuses the cached fabric output: the board still
+        // ingests the delta and hands the subgraph off, but the
+        // preprocessing pass and any reconfiguration are skipped.
+        if !rq.partial {
+            rq.reconfig_secs = self.reconfigure(now, tenant, &rq.workload, rq.best, board);
+            rq.preprocess_secs = self.preprocess_secs(tenant, &rq.workload, board);
+            rq.entry_preprocess_secs = rq.preprocess_secs;
+        }
+        let stall = rq.reconfig_secs;
+        let download_secs = self.pcie.transfer_secs(rq.subgraph_bytes);
+        let done = now + stall + rq.upload_secs + rq.preprocess_secs + download_secs;
+        let second = match self.cfg.hedge {
+            HedgeKind::Latency { factor } => {
+                let wait = now - rq.arrival_secs;
+                if self.predictor.is_warm(tenant)
+                    && wait > factor * self.predictor.predicted_p99(tenant)
                 {
-                    pool.peer_source(request.tenant, board)
+                    self.pool.free_indices().find(|&b| b != board)
                 } else {
                     None
-                };
-                let (host_bytes, switch_bytes, switch_secs) = match source {
-                    Some(source) => {
-                        let transfer =
-                            pool.migrate_ingest(board, source, request.tenant, coo_bytes);
-                        let switch_secs = switch.transfer_secs(transfer.switch_bytes);
-                        // The outbound leg holds the source board's DMA
-                        // engine until `MigrationDone` releases it.
-                        pool.occupy_dma(source, now, now + switch_secs);
-                        if cfg.overlap && !pool.fabric_free(source) {
-                            stats.overlap_secs +=
-                                ((now + switch_secs).min(pool.fabric_until(source)) - now).max(0.0);
-                        }
-                        digest.push(0x39);
-                        digest.push(request.tenant as u64);
-                        digest.push(board as u64);
-                        digest.push(source as u64);
-                        if sink.enabled() {
-                            sink.span(Span {
-                                track: Track::Board {
-                                    board: source,
-                                    resource: BoardResource::Dma,
-                                },
-                                kind: SpanKind::MigrateOut,
-                                tenant: request.tenant,
-                                request: trace_id,
-                                begin_secs: now,
-                                end_secs: now + switch_secs,
-                            });
-                        }
-                        engine.queue.push(
-                            now + switch_secs,
-                            EventKind::MigrationDone { board: source },
-                        );
-                        (transfer.host_bytes, transfer.switch_bytes, switch_secs)
-                    }
-                    None => (pool.upload_delta(board, request.tenant, coo_bytes), 0, 0.0),
-                };
-                if sink.enabled() {
-                    // Residency moved (upload delta or migrated prefix):
-                    // sample the board's DRAM occupancy.
-                    sink.counter(CounterSample {
-                        kind: CounterKind::ResidentBytes { board },
-                        time_secs: now,
-                        value: pool.resident_total_bytes(board) as f64,
-                    });
                 }
-
-                if cfg.overlap {
-                    // Pipelined: occupy only the DMA engine; the fabric
-                    // (and the reconfiguration decision) waits until the
-                    // delta has landed.
-                    let upload_secs = switch_secs + pcie.transfer_secs(host_bytes);
-                    let done = now + upload_secs;
-                    pool.occupy_dma(board, now, done);
-                    if !pool.fabric_free(board) {
-                        stats.overlap_secs += (done.min(pool.fabric_until(board)) - now).max(0.0);
-                    }
-                    digest.push(0x1D);
-                    digest.push(request.tenant as u64);
-                    digest.push(board as u64);
-                    if sink.enabled() {
-                        sink.span(Span {
-                            track: Track::Board {
-                                board,
-                                resource: BoardResource::Dma,
-                            },
-                            kind: SpanKind::Ingest,
-                            tenant: request.tenant,
-                            request: trace_id,
-                            begin_secs: now,
-                            end_secs: done,
-                        });
-                    }
-                    let handle = engine.inflight.insert(Pipelined {
-                        tenant: request.tenant,
-                        trace_id,
-                        arrival_secs: request.arrival_secs,
-                        dispatch_secs: now,
-                        workload,
-                        best,
-                        subgraph_bytes: costs.subgraph_bytes,
-                        inference_secs: costs.inference_secs,
-                        upload_secs,
-                        ingest_done_secs: done,
-                        fabric_start_secs: done,
-                        fabric_done_secs: done,
-                        reconfig_secs: 0.0,
-                        preprocess_secs: 0.0,
-                        host_bytes,
-                        switch_bytes,
-                        bucket,
-                        graph_bytes: coo_bytes,
-                        cum_delta: cache_cum_delta,
-                        entry_preprocess_secs: cache_hit_preprocess.unwrap_or(0.0),
-                        partial: cache_hit_preprocess.is_some(),
-                    });
-                    pipe.ingesting[board] = Some(handle);
-                    engine.queue.push(done, EventKind::IngestDone { board });
-                    if let Some(d) = deadlines[request.tenant] {
-                        // Stage-abort alarm: if the request still waits
-                        // on an unstarted stage when this pops, its slot
-                        // is abandoned. Tagged with the trace id so a
-                        // recycled slab slot cannot be mis-aborted.
-                        engine.queue.push(
-                            request.arrival_secs + d,
-                            EventKind::DeadlineExpired {
-                                board,
-                                handle,
-                                tag: trace_id,
-                            },
-                        );
-                    }
-                    continue;
-                }
-
-                // Serial: the board pays every stage back to back and both
-                // slots stay held — the PR 1/PR 2 schedule bit-for-bit.
-                // The scheduler may gate the reconfiguration (SLO-aware
-                // policies keep a within-budget tenant on the current
-                // bitstream); `Fifo` never does.
-                let mut stall = 0.0;
-                if cache_hit_preprocess.is_none() && sched.allow_reconfig(request.tenant, now) {
-                    if let Some(secs) =
-                        memo.maybe_reconfigure(request.tenant, &workload, best, pool, board)
-                    {
-                        stall = secs;
-                        stats.reconfigs += 1;
-                        stats.reconfig_secs += stall;
-                        stats.tenants[request.tenant].reconfigs += 1;
-                        digest.push(0x2C);
-                        if tag_boards {
-                            digest.push(board as u64);
-                        }
-                    }
-                }
-
-                // Price the staged lifecycle analytically under the
-                // board's (possibly new) configuration. The ingest leg
-                // prices the host bytes; a migration adds its switch leg
-                // on top (the peer prefix crossing board-to-board). The
-                // decomposition equals [`BoardPool::service_secs`] term
-                // for term — the PCIe legs are divisions, the fabric
-                // report comes from the memo.
-                let upload_secs = switch_secs + pcie.transfer_secs(host_bytes);
-                // A partial hit reuses the cached fabric output: the board
-                // still ingests the delta and hands the subgraph off, but
-                // the preprocessing pass (and any reconfiguration, gated
-                // above) is skipped.
-                let preprocess_secs = if cache_hit_preprocess.is_some() {
-                    0.0
-                } else {
-                    memo.stage_total(request.tenant, &workload, pool, board) / cfg.compute_speedup
-                };
-                let download_secs = pcie.transfer_secs(costs.subgraph_bytes);
-                let inference_secs = costs.inference_secs;
-
-                let done = now + stall + upload_secs + preprocess_secs + download_secs;
-
-                // Hedged dispatch: once this request's queue wait has
-                // outrun the predicted tail, offer it to a second free
-                // board too and keep the faster leg (see the module
-                // docs). `Off` — the default — skips everything.
-                let second = match cfg.hedge {
-                    HedgeKind::Latency { factor } => {
-                        let wait = now - request.arrival_secs;
-                        if predictor.is_warm(request.tenant)
-                            && wait > factor * predictor.predicted_p99(request.tenant)
-                        {
-                            pool.free_indices().find(|&b| b != board)
-                        } else {
-                            None
-                        }
-                    }
-                    HedgeKind::Off => None,
-                };
-
-                // The winning leg, initially the placement pick (leg A).
-                let mut win_board = board;
-                let mut win_done = done;
-                let mut win_latency = RequestLatency {
-                    queue_secs: now - request.arrival_secs,
-                    reconfig_secs: stall,
-                    upload_secs,
-                    stage_wait_secs: 0.0,
-                    preprocess_secs,
-                    download_secs,
-                    inference_secs,
-                    cache_secs: 0.0,
-                };
-                let mut win_host_bytes = host_bytes;
-                let mut win_switch_bytes = switch_bytes;
-                let mut win_entry_preprocess = cache_hit_preprocess.unwrap_or(preprocess_secs);
-
-                if let Some(second) = second {
-                    digest.push(0x4E);
-                    digest.push(request.tenant as u64);
-                    digest.push(second as u64);
-                    // The hedge leg ingests from the host onto the
-                    // second board's *current* bitstream — no
-                    // reconfiguration, no migration: the bet is a cheap
-                    // second chance, not a second ICAP switch.
-                    let host_b = pool.upload_delta(second, request.tenant, coo_bytes);
-                    let upload_b = pcie.transfer_secs(host_b);
-                    let preprocess_b = memo.stage_total(request.tenant, &workload, pool, second)
-                        / cfg.compute_speedup;
-                    let done_b = now + upload_b + preprocess_b + download_secs;
-                    // Ties keep the primary — placement picked it.
-                    let (loser, loser_free_at, loser_bytes) = if done_b < win_done {
-                        // The hedge leg wins. The primary's *started*
-                        // reconfiguration still runs to completion, so
-                        // its board frees only once both the
-                        // cancellation and the ICAP stall have passed.
-                        let freed = (
-                            win_board,
-                            done_b.max(now + stall),
-                            win_host_bytes + win_switch_bytes,
-                        );
-                        win_board = second;
-                        win_done = done_b;
-                        win_latency = RequestLatency {
-                            queue_secs: now - request.arrival_secs,
-                            reconfig_secs: 0.0,
-                            upload_secs: upload_b,
-                            stage_wait_secs: 0.0,
-                            preprocess_secs: preprocess_b,
-                            download_secs,
-                            inference_secs,
-                            cache_secs: 0.0,
-                        };
-                        win_host_bytes = host_b;
-                        win_switch_bytes = 0;
-                        win_entry_preprocess = preprocess_b;
-                        freed
-                    } else {
-                        (second, win_done, host_b)
-                    };
-                    stats.wasted_secs += loser_free_at - now;
-                    stats.wasted_work_bytes += loser_bytes;
-                    pool.occupy(loser, now, loser_free_at);
-                    engine.queue.push(
-                        loser_free_at,
-                        EventKind::HedgeWon {
-                            board: loser,
-                            tenant: request.tenant,
-                        },
-                    );
-                    if sink.enabled() {
-                        sink.span(Span {
-                            track: Track::Queue,
-                            kind: SpanKind::Cancelled,
-                            tenant: request.tenant,
-                            request: trace_id,
-                            begin_secs: now,
-                            end_secs: loser_free_at,
-                        });
-                        sink.counter(CounterSample {
-                            kind: CounterKind::WastedWork,
-                            time_secs: loser_free_at,
-                            value: stats.wasted_work_bytes as f64,
-                        });
-                    }
-                }
-
-                pool.occupy(win_board, now, win_done);
-                if sink.enabled() {
-                    // Serial mode runs the stages back to back under both
-                    // slots, so the whole timeline is known at dispatch:
-                    // ICAP stall, then the DMA ingest, the fabric pass,
-                    // and the hand-off closing at `win_done`. Only the
-                    // winning leg is narrated; a cancelled hedge leg
-                    // appears as one `Cancelled` span above.
-                    let span = |resource, kind, begin_secs, end_secs| Span {
-                        track: Track::Board {
-                            board: win_board,
-                            resource,
-                        },
-                        kind,
-                        tenant: request.tenant,
-                        request: trace_id,
-                        begin_secs,
-                        end_secs,
-                    };
-                    let win_stall = win_latency.reconfig_secs;
-                    if win_stall > 0.0 {
-                        sink.span(span(
-                            BoardResource::Icap,
-                            SpanKind::Reconfig,
-                            now,
-                            now + win_stall,
-                        ));
-                    }
-                    let ingest_start = now + win_stall;
-                    sink.span(span(
-                        BoardResource::Dma,
-                        SpanKind::Ingest,
-                        ingest_start,
-                        ingest_start + win_latency.upload_secs,
-                    ));
-                    sink.span(span(
-                        BoardResource::Fabric,
-                        SpanKind::Preprocess,
-                        ingest_start + win_latency.upload_secs,
-                        ingest_start + win_latency.upload_secs + win_latency.preprocess_secs,
-                    ));
-                    sink.span(span(
-                        BoardResource::Dma,
-                        SpanKind::Handoff,
-                        win_done - download_secs,
-                        win_done,
-                    ));
-                }
-                let completion = engine.completions.insert(Completion {
-                    tenant: request.tenant,
-                    board: win_board,
-                    arrival_secs: request.arrival_secs,
-                    latency: win_latency,
-                    host_bytes: win_host_bytes,
-                    switch_bytes: win_switch_bytes,
-                    bucket,
-                    graph_bytes: coo_bytes,
-                    cum_delta: cache_cum_delta,
-                    entry_preprocess_secs: win_entry_preprocess,
-                    cached: false,
-                });
-                engine
-                    .queue
-                    .push(win_done, EventKind::ServiceDone { completion });
             }
-        }
-
-        TrafficReport {
-            tenants: stats.tenants,
-            cache: cache.stats(),
-            duration_secs: stats.last_board_free,
-            reconfigs: stats.reconfigs,
-            reconfig_secs: stats.reconfig_secs,
-            queue_depth: depth,
-            boards: pool.stats(),
-            stages: stats.stages,
-            overlap_secs: stats.overlap_secs,
-            requests: stats.requests,
-            stall: stats.stall,
-            wasted_work_bytes: stats.wasted_work_bytes,
-            wasted_secs: stats.wasted_secs,
-            sim: SimPerf {
-                wall_secs: wall_start.elapsed().as_secs_f64(),
-                events,
+            HedgeKind::Off => None,
+        };
+        // The winning leg, initially the placement pick.
+        let mut win_done = done;
+        let mut win = rq.completion(
+            board,
+            RequestLatency {
+                queue_secs: now - rq.arrival_secs,
+                reconfig_secs: stall,
+                upload_secs: rq.upload_secs,
+                stage_wait_secs: 0.0,
+                preprocess_secs: rq.preprocess_secs,
+                download_secs,
+                inference_secs: rq.inference_secs,
+                cache_secs: 0.0,
             },
-            trace_digest: digest.0,
-        }
-    }
-}
-
-/// Moves an ingested request into board `board`'s fabric at `now`: pays
-/// the (deferred) reconfiguration decision — unless the scheduler's SLO
-/// gate withholds it — prices preprocessing under the resulting
-/// configuration, and schedules `FabricDone`.
-#[allow(clippy::too_many_arguments)]
-fn start_fabric<S: TraceSink + ?Sized>(
-    handle: Handle,
-    board: usize,
-    now: f64,
-    pool: &mut BoardPool,
-    pipe: &mut Pipeline,
-    stats: &mut RunStats,
-    sched: &Scheduler,
-    digest: &mut TraceDigest,
-    cfg: &ServeConfig,
-    sink: &mut S,
-    engine: &mut Engine,
-    memo: &mut CostMemo,
-) {
-    let (tenant, trace_id, workload, best, partial) = {
-        let rq = engine.inflight.get(handle);
-        (rq.tenant, rq.trace_id, rq.workload, rq.best, rq.partial)
-    };
-    let mut stall = 0.0;
-    if !partial && sched.allow_reconfig(tenant, now) {
-        if let Some(secs) = memo.maybe_reconfigure(tenant, &workload, best, pool, board) {
-            stall = secs;
-            stats.reconfigs += 1;
-            stats.reconfig_secs += stall;
-            stats.tenants[tenant].reconfigs += 1;
-            digest.push(0x2C);
-            digest.push(board as u64);
-        }
-    }
-    // A partial cache hit reuses the cached fabric output: the stage (and
-    // the reconfiguration decision above) is skipped outright.
-    let preprocess_secs = if partial {
-        0.0
-    } else {
-        memo.stage_total(tenant, &workload, pool, board) / cfg.compute_speedup
-    };
-    let done = now + stall + preprocess_secs;
-    pool.occupy_fabric(board, now, done);
-    if sink.enabled() {
-        if stall > 0.0 {
-            sink.span(Span {
-                track: Track::Board {
+        );
+        if let Some(second) = second {
+            // The hedge leg ingests from the host onto the second board's
+            // *current* bitstream — no reconfiguration, no migration: the
+            // bet is a cheap second chance, not a second ICAP switch.
+            let host_b = self.pool.upload_delta(second, tenant, rq.graph_bytes);
+            let upload_b = self.pcie.transfer_secs(host_b);
+            let preprocess_b = self.preprocess_secs(tenant, &rq.workload, second);
+            let done_b = now + upload_b + preprocess_b + download_secs;
+            // Ties keep the primary — placement picked it.
+            let (loser, loser_free_at, loser_bytes) = if done_b < win_done {
+                // The hedge leg wins. The primary's *started*
+                // reconfiguration still runs to completion, so its board
+                // frees only once both the cancellation and the ICAP
+                // stall have passed.
+                let lost = (
                     board,
-                    resource: BoardResource::Icap,
-                },
-                kind: SpanKind::Reconfig,
+                    done_b.max(now + stall),
+                    rq.host_bytes + rq.switch_bytes,
+                );
+                win_done = done_b;
+                win = Completion {
+                    board: second,
+                    latency: RequestLatency {
+                        reconfig_secs: 0.0,
+                        upload_secs: upload_b,
+                        preprocess_secs: preprocess_b,
+                        ..win.latency
+                    },
+                    host_bytes: host_b,
+                    switch_bytes: 0,
+                    entry_preprocess_secs: preprocess_b,
+                    ..win
+                };
+                lost
+            } else {
+                (second, win_done, host_b)
+            };
+            self.narr
+                .hedge_launched(&rq, second, now, loser_free_at, loser_bytes);
+            self.pool.occupy(loser, now, loser_free_at);
+            let hedge_won = EventKind::HedgeWon {
+                board: loser,
                 tenant,
-                request: trace_id,
-                begin_secs: now,
-                end_secs: now + stall,
-            });
+            };
+            self.queue.push(loser_free_at, hedge_won);
         }
-        sink.span(Span {
-            track: Track::Board {
-                board,
-                resource: BoardResource::Fabric,
-            },
-            kind: SpanKind::Preprocess,
-            tenant,
-            request: trace_id,
-            begin_secs: now + stall,
-            end_secs: done,
-        });
+        self.pool.occupy(win.board, now, win_done);
+        // Only the winning leg is narrated as a board visit; a cancelled
+        // hedge leg appears as one `Cancelled` span.
+        self.narr
+            .serial_visit(&rq, win.board, now, &win.latency, win_done);
+        let completion = self.completions.insert(win);
+        self.queue
+            .push(win_done, EventKind::ServiceDone { completion });
     }
-    // The fabric starting under an in-flight DMA transfer is pipeline
-    // overlap (the symmetric case — DMA starting under the fabric — is
-    // accounted at the transfer's start).
-    if !pool.dma_free(board) {
-        stats.overlap_secs += (done.min(pool.dma_until(board)) - now).max(0.0);
-    }
-    let rq = engine.inflight.get_mut(handle);
-    rq.fabric_start_secs = now;
-    rq.reconfig_secs = stall;
-    rq.preprocess_secs = preprocess_secs;
-    if !partial {
-        // The cache entry this completion refills saves future hits this
-        // (actually paid) fabric pass; a partial hit keeps the saved cost
-        // it copied out of the entry it reused.
-        rq.entry_preprocess_secs = preprocess_secs;
-    }
-    pipe.in_fabric[board] = Some(handle);
-    engine.queue.push(done, EventKind::FabricDone { board });
-}
 
-/// Starts the next queued subgraph hand-off on board `board`'s DMA engine
-/// if it is idle, scheduling the request's `ServiceDone`. The transfer
-/// size and inference tail were memoized into the [`Pipelined`] record at
-/// dispatch, so this path performs no cost-model work.
-#[allow(clippy::too_many_arguments)]
-fn start_handoff<S: TraceSink + ?Sized>(
-    board: usize,
-    now: f64,
-    pool: &mut BoardPool,
-    pipe: &mut Pipeline,
-    stats: &mut RunStats,
-    pcie: &agnn_hw::shell::PcieModel,
-    sink: &mut S,
-    engine: &mut Engine,
-) {
-    if !pool.dma_free(board) {
-        return;
+    /// Pays the reconfiguration decision for `tenant`'s `workload` on
+    /// `board` — unless the scheduler's gate withholds it (SLO-aware
+    /// policies keep a within-budget tenant on the current bitstream;
+    /// `Fifo` never does). Returns the ICAP stall, `0.0` when the board
+    /// keeps its bitstream.
+    fn reconfigure(
+        &mut self,
+        now: f64,
+        tenant: usize,
+        workload: &Workload,
+        best: HwConfig,
+        board: usize,
+    ) -> f64 {
+        if !self.sched.allow_reconfig(tenant, now) {
+            return 0.0;
+        }
+        match self
+            .memo
+            .maybe_reconfigure(tenant, workload, best, self.pool, board)
+        {
+            Some(secs) => {
+                self.narr.reconfigured(tenant, board, secs);
+                secs
+            }
+            None => 0.0,
+        }
     }
-    let Some(handle) = pipe.handoffs[board].pop_front() else {
-        return;
-    };
-    pool.add_pending_handoffs(board, -1);
-    // The request leaves the pipeline here: reclaim its slab slot and
-    // carry the record by value through the final pricing.
-    let rq = engine.inflight.remove(handle);
-    let download_secs = pcie.transfer_secs(rq.subgraph_bytes);
-    let done = now + download_secs;
-    pool.occupy_dma(board, now, done);
-    if sink.enabled() {
-        sink.span(Span {
-            track: Track::Board {
-                board,
-                resource: BoardResource::Dma,
-            },
-            kind: SpanKind::Handoff,
-            tenant: rq.tenant,
-            request: rq.trace_id,
-            begin_secs: now,
-            end_secs: done,
-        });
+
+    /// Fabric preprocessing seconds of `tenant`'s `workload` under
+    /// `board`'s current configuration and the pool's compute speedup.
+    fn preprocess_secs(&mut self, tenant: usize, workload: &Workload, board: usize) -> f64 {
+        self.memo.stage_total(tenant, workload, self.pool, board) / self.cfg.compute_speedup
     }
-    if !pool.fabric_free(board) {
-        stats.overlap_secs += (done.min(pool.fabric_until(board)) - now).max(0.0);
+
+    /// A DMA transfer over `now → done` on `board` overlaps whatever
+    /// share of it the busy fabric is still working.
+    fn overlap_fabric(&mut self, board: usize, now: f64, done: f64) {
+        if !self.pool.fabric_free(board) {
+            let until = self.pool.fabric_until(board);
+            self.narr.overlap((done.min(until) - now).max(0.0));
+        }
     }
-    let inference_secs = rq.inference_secs;
-    let latency = RequestLatency {
-        queue_secs: rq.dispatch_secs - rq.arrival_secs,
-        reconfig_secs: rq.reconfig_secs,
-        upload_secs: rq.upload_secs,
-        stage_wait_secs: (rq.fabric_start_secs - rq.ingest_done_secs) + (now - rq.fabric_done_secs),
-        preprocess_secs: rq.preprocess_secs,
-        download_secs,
-        inference_secs,
-        cache_secs: 0.0,
-    };
-    let completion = engine.completions.insert(Completion {
-        tenant: rq.tenant,
-        board,
-        arrival_secs: rq.arrival_secs,
-        latency,
-        host_bytes: rq.host_bytes,
-        switch_bytes: rq.switch_bytes,
-        bucket: rq.bucket,
-        graph_bytes: rq.graph_bytes,
-        cum_delta: rq.cum_delta,
-        entry_preprocess_secs: rq.entry_preprocess_secs,
-        cached: false,
-    });
-    engine
-        .queue
-        .push(done, EventKind::ServiceDone { completion });
+
+    /// Moves an ingested request into board `board`'s fabric at `now`:
+    /// pays the deferred reconfiguration decision, prices preprocessing
+    /// under the resulting configuration, and schedules `FabricDone`.
+    fn start_fabric(&mut self, handle: Handle, board: usize, now: f64) {
+        let rq = self.inflight.get(handle);
+        let (tenant, workload, best, partial) = (rq.tenant, rq.workload, rq.best, rq.partial);
+        // A partial cache hit reuses the cached fabric output: the stage
+        // and the reconfiguration decision are skipped outright.
+        let (stall, preprocess_secs) = if partial {
+            (0.0, 0.0)
+        } else {
+            let stall = self.reconfigure(now, tenant, &workload, best, board);
+            (stall, self.preprocess_secs(tenant, &workload, board))
+        };
+        let done = now + stall + preprocess_secs;
+        self.pool.occupy_fabric(board, now, done);
+        let rq = self.inflight.get_mut(handle);
+        rq.fabric_start_secs = now;
+        rq.reconfig_secs = stall;
+        rq.preprocess_secs = preprocess_secs;
+        if !partial {
+            // The cache entry this completion refills saves future hits
+            // this (actually paid) fabric pass; a partial hit keeps the
+            // saved cost it copied out of the entry it reused.
+            rq.entry_preprocess_secs = preprocess_secs;
+        }
+        self.narr.fabric(rq, board, now, stall, done);
+        // The fabric starting under an in-flight DMA transfer is pipeline
+        // overlap (the symmetric case — DMA starting under the fabric —
+        // is accounted at the transfer's start).
+        if !self.pool.dma_free(board) {
+            let until = self.pool.dma_until(board);
+            self.narr.overlap((done.min(until) - now).max(0.0));
+        }
+        self.pipe.in_fabric[board] = Some(handle);
+        self.queue.push(done, EventKind::FabricDone { board });
+    }
+
+    /// Starts the next queued subgraph hand-off on board `board`'s DMA
+    /// engine if it is idle, scheduling the request's `ServiceDone`. The
+    /// transfer size and inference tail were memoized into the
+    /// [`Dispatched`] record at dispatch, so this path performs no
+    /// cost-model work.
+    fn start_handoff(&mut self, board: usize, now: f64) {
+        if !self.pool.dma_free(board) {
+            return;
+        }
+        let Some(handle) = self.pipe.handoffs[board].pop_front() else {
+            return;
+        };
+        self.pool.add_pending_handoffs(board, -1);
+        // The request leaves the pipeline here: reclaim its slab slot and
+        // carry the record by value through the final pricing.
+        let rq = self.inflight.remove(handle);
+        let download_secs = self.pcie.transfer_secs(rq.subgraph_bytes);
+        let done = now + download_secs;
+        self.pool.occupy_dma(board, now, done);
+        self.narr.handoff(&rq, board, now, done);
+        self.overlap_fabric(board, now, done);
+        let stage_wait_secs =
+            (rq.fabric_start_secs - rq.ingest_done_secs) + (now - rq.fabric_done_secs);
+        let latency = RequestLatency {
+            queue_secs: rq.dispatch_secs - rq.arrival_secs,
+            reconfig_secs: rq.reconfig_secs,
+            upload_secs: rq.upload_secs,
+            stage_wait_secs,
+            preprocess_secs: rq.preprocess_secs,
+            download_secs,
+            inference_secs: rq.inference_secs,
+            cache_secs: 0.0,
+        };
+        let completion = self.completions.insert(rq.completion(board, latency));
+        self.queue.push(done, EventKind::ServiceDone { completion });
+    }
 }
 
 /// Where (and how) the next dispatch lands.
@@ -2224,6 +1787,24 @@ enum Placement {
     /// idle `board` even though the request's affine/home board is busy —
     /// the tenant's graph migrates in from a peer when one holds a copy.
     Migrating { position: usize, board: usize },
+}
+
+/// Placement's view of the run at `now`: what it reads to find a queued
+/// request's library-optimal bitstream.
+struct Scan<'a> {
+    tenants: &'a [TenantSpec],
+    memo: &'a mut CostMemo,
+    pool: &'a BoardPool,
+    now: f64,
+}
+
+impl Scan<'_> {
+    /// `r`'s library-optimal bitstream, memoized per drift bucket.
+    #[inline]
+    fn best(&mut self, r: &Request) -> HwConfig {
+        self.memo
+            .best_config(r.tenant, &self.tenants[r.tenant], self.now, self.pool)
+    }
 }
 
 /// The SplitHot fallback when every queued request is waiting for a busy
@@ -2246,14 +1827,8 @@ fn split_overflow(cfg: &ServeConfig, queue: &[Request], pool: &BoardPool) -> Opt
 /// [`SchedKind::Fifo`], the deficit-round-robin fair order under
 /// [`SchedKind::WeightedFair`] — so placement reads the scheduler's
 /// preference as a hint and positions index back into the scan.
-fn select_dispatch(
-    tenants: &[TenantSpec],
-    cfg: &ServeConfig,
-    queue: &[Request],
-    memo: &mut CostMemo,
-    pool: &BoardPool,
-    now: f64,
-) -> Option<Placement> {
+fn select_dispatch(cfg: &ServeConfig, queue: &[Request], scan: &mut Scan) -> Option<Placement> {
+    let (tenants, pool, now) = (scan.tenants, scan.pool, scan.now);
     match cfg.placement {
         // The home board of the earliest-arrived dispatchable request
         // serves; the dispatch policy then picks among the requests homed
@@ -2269,14 +1844,14 @@ fn select_dispatch(
                 return split_overflow(cfg, queue, pool);
             };
             let homed = |r: &Request| tenants[r.tenant].home_board(r.tenant, pool.size()) == board;
-            let position = pick_for_board(tenants, cfg, queue, memo, pool, board, now, homed)?;
+            let position = pick_for_board(cfg.policy, queue, scan, board, homed)?;
             Some(Placement::Serve { position, board })
         }
         // The least-loaded free board serves; its dispatch policy picks
         // the request — with one board this is exactly the PR 1 scheduler.
         PlacementPolicy::LeastLoaded => {
             let board = pool.least_loaded_free()?;
-            let position = pick_for_board(tenants, cfg, queue, memo, pool, board, now, |_| true)?;
+            let position = pick_for_board(cfg.policy, queue, scan, board, |_| true)?;
             Some(Placement::Serve { position, board })
         }
         // Route a request to a board already holding its bitstream. A
@@ -2297,9 +1872,8 @@ fn select_dispatch(
             };
             let front = &queue[0];
             if now - front.arrival_secs >= max_queue_delay_secs {
-                let front_best = memo.best_config(front.tenant, &tenants[front.tenant], now, pool);
                 let board = pool
-                    .free_with_config(front_best)
+                    .free_with_config(scan.best(front))
                     .or_else(|| pool.least_loaded_free())?;
                 return Some(Placement::Serve { position: 0, board });
             }
@@ -2307,16 +1881,14 @@ fn select_dispatch(
             // already programmed on a free board (with one board this is
             // exactly the PR 1 reconfig-aware queue scan).
             for (position, r) in queue.iter().enumerate() {
-                let best = memo.best_config(r.tenant, &tenants[r.tenant], now, pool);
-                if let Some(board) = pool.free_with_config(best) {
+                if let Some(board) = pool.free_with_config(scan.best(r)) {
                     return Some(Placement::Serve { position, board });
                 }
             }
             // Pass 2: the earliest request whose bitstream no board holds
             // claims the least-loaded free board.
             for (position, r) in queue.iter().enumerate() {
-                let best = memo.best_config(r.tenant, &tenants[r.tenant], now, pool);
-                if !pool.any_with_config(best) {
+                if !pool.any_with_config(scan.best(r)) {
                     let board = pool.least_loaded_free()?;
                     return Some(Placement::Serve { position, board });
                 }
@@ -2329,38 +1901,34 @@ fn select_dispatch(
     }
 }
 
-/// The queue position `board` serves next under the configured dispatch
-/// policy (PR 1's pick, parameterized by the board's bitstream), scanning
-/// only requests `eligible` admits — `TenantAffine` placement restricts
-/// the scan to the board's own tenants, everything else passes all.
-/// `None` when no queued request is eligible.
-#[allow(clippy::too_many_arguments)]
+/// The queue position `board` serves next under dispatch `policy` (PR 1's
+/// pick, parameterized by the board's bitstream), scanning only requests
+/// `eligible` admits — `TenantAffine` placement restricts the scan to the
+/// board's own tenants, everything else passes all. `None` when no queued
+/// request is eligible.
 fn pick_for_board(
-    tenants: &[TenantSpec],
-    cfg: &ServeConfig,
+    policy: DispatchPolicy,
     queue: &[Request],
-    memo: &mut CostMemo,
-    pool: &BoardPool,
+    scan: &mut Scan,
     board: usize,
-    now: f64,
     eligible: impl Fn(&Request) -> bool,
 ) -> Option<usize> {
     let front_pos = queue.iter().position(&eligible)?;
-    match cfg.policy {
+    match policy {
         DispatchPolicy::Fifo => Some(front_pos),
         DispatchPolicy::ReconfigAware {
             max_queue_delay_secs,
         } => {
             let front = &queue[front_pos];
-            if now - front.arrival_secs >= max_queue_delay_secs {
+            if scan.now - front.arrival_secs >= max_queue_delay_secs {
                 return Some(front_pos);
             }
-            let current = pool.config(board);
+            let current = scan.pool.config(board);
             queue
                 .iter()
                 .enumerate()
                 .filter(|(_, r)| eligible(r))
-                .find(|(_, r)| memo.best_config(r.tenant, &tenants[r.tenant], now, pool) == current)
+                .find(|(_, r)| scan.best(r) == current)
                 .map(|(position, _)| position)
                 .or(Some(front_pos))
         }

@@ -2,7 +2,7 @@
 //!
 //! # The span model
 //!
-//! The event loop in [`crate::sim`] narrates every request's lifecycle as
+//! The simulator in [`crate::sim`] narrates every request's lifecycle as
 //! **complete spans** — the simulator is analytic, so a stage's begin and
 //! end are both known the moment it is scheduled — emitted into a
 //! [`TraceSink`]:
@@ -223,9 +223,9 @@ mod tests {
 
     #[test]
     fn null_sink_is_disabled_and_inert() {
-        let mut sink = NullSink;
-        assert!(!sink.enabled());
-        sink.span(Span {
+        let mut null = NullSink;
+        assert!(!null.enabled());
+        null.span(Span {
             track: Track::Queue,
             kind: SpanKind::Queue,
             tenant: 0,
@@ -233,7 +233,7 @@ mod tests {
             begin_secs: 0.0,
             end_secs: 1.0,
         });
-        sink.counter(CounterSample {
+        null.counter(CounterSample {
             kind: CounterKind::QueueDepth,
             time_secs: 0.0,
             value: 1.0,
