@@ -185,12 +185,13 @@ struct Board {
     /// A PCIe transfer (ingest or hand-off) is in flight.
     dma_busy: bool,
     /// Simulated second the in-flight DMA transfer completes (stale once
-    /// `dma_busy` clears; overlap accounting reads it only while busy).
+    /// `dma_busy` clears, and never set by the serial [`BoardPool::occupy`];
+    /// only pipelined overlap accounting reads it, and only while busy).
     dma_until: f64,
     /// The fabric is preprocessing (or reprogramming).
     fabric_busy: bool,
-    /// Simulated second the fabric frees (stale once `fabric_busy`
-    /// clears).
+    /// Simulated second the fabric frees (stale under the same rules as
+    /// `dma_until`).
     fabric_until: f64,
     /// Ingested requests waiting for the fabric, bounded by
     /// [`STAGING_DEPTH`] (the delta buffers not currently being filled).
@@ -618,7 +619,7 @@ impl BoardPool {
     }
 
     /// When board `index`'s in-flight DMA transfer completes (meaningful
-    /// only while the engine is busy).
+    /// only while the engine is busy in pipelined mode).
     pub fn dma_until(&self, index: usize) -> f64 {
         self.boards[index].dma_until
     }
@@ -644,7 +645,8 @@ impl BoardPool {
         !self.boards[index].fabric_busy
     }
 
-    /// When board `index`'s fabric frees (meaningful only while busy).
+    /// When board `index`'s fabric frees (meaningful only while busy in
+    /// pipelined mode).
     pub fn fabric_until(&self, index: usize) -> f64 {
         self.boards[index].fabric_until
     }

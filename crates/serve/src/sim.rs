@@ -1016,10 +1016,11 @@ impl TrafficSim {
 /// places waiting work on free boards; all of them report what they
 /// decided to the [`Narrator`], which they cannot read back.
 ///
-/// The handlers of the opt-in subsystems (deadlines, hedging, the result
-/// cache) are `#[inline(never)]`: runs that leave those knobs off never
-/// call them, and keeping them out of the inlined event loop holds the
-/// default path at the speed of the single-function loop it replaced.
+/// Handlers only the opt-in subsystems reach (in-queue expiry, stage
+/// aborts, hedge releases, the admission-time cache consult) are
+/// `#[inline(never)]`: runs that leave those knobs off never call them,
+/// and keeping them out of the inlined event loop holds the default path
+/// at the speed of the single-function loop it replaced.
 struct Run<'a, S: TraceSink + ?Sized> {
     cfg: ServeConfig,
     tenants: &'a [TenantSpec],
@@ -1305,8 +1306,8 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
 
     /// Latency feedback for SLO-aware scheduling, and for the hedge
     /// trigger's shared predictor.
-    fn observe_latency(&mut self, tenant: usize, latency: &RequestLatency, now: f64) {
-        self.sched.on_complete(tenant, latency, now);
+    fn observe_latency(&mut self, tenant: usize, latency: RequestLatency, now: f64) {
+        self.sched.on_complete(tenant, &latency, now);
         if self.cfg.hedge.enabled() {
             self.predictor.observe(tenant, latency.total());
         }
@@ -1315,7 +1316,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
     fn on_service_done(&mut self, now: f64, completion: Handle) -> bool {
         let c = self.completions.remove(completion);
         self.narr.completed(now, &c);
-        self.observe_latency(c.tenant, &c.latency, now);
+        self.observe_latency(c.tenant, c.latency, now);
         if c.cached {
             // A cache-served completion never held a board: nothing to
             // release, no entry to refill.
@@ -1336,7 +1337,6 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
 
     /// Refills `c`'s cache entry from this board-served completion and
     /// drains any arrivals that coalesced onto it while it was in flight.
-    #[inline(never)]
     fn refill_cache(&mut self, now: f64, c: &Completion) {
         // The entry's service cost substitutes the *paid* preprocess
         // share with the entry's own (a partial hit paid 0 but reuses an
@@ -1359,7 +1359,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
                 ..RequestLatency::default()
             };
             self.narr.waiter_served(c.tenant, waited_since, latency);
-            self.observe_latency(c.tenant, &latency, now);
+            self.observe_latency(c.tenant, latency, now);
         }
     }
 

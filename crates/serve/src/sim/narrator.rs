@@ -38,10 +38,13 @@ struct TraceDigest {
 
 impl TraceDigest {
     fn push(&mut self, words: &[u64]) {
-        for word in words {
+        for &word in words {
+            let mut h = self.hash;
             for byte in word.to_le_bytes() {
-                self.hash = (self.hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
             }
+            self.hash = h;
         }
     }
 
@@ -134,7 +137,9 @@ impl RunStats {
 }
 
 /// Narrates one run into its digest, tallies, depth timeline and sink
-/// (see the [module docs](self)).
+/// (see the [module docs](self)). The hot-path methods that borrow a
+/// request record are `#[inline]`: an out-of-line call would pin the
+/// caller's record in memory and cost a `memcpy` per event.
 pub struct Narrator<'s, S: TraceSink + ?Sized> {
     digest: TraceDigest,
     stats: RunStats,
@@ -361,6 +366,7 @@ impl<'s, S: TraceSink + ?Sized> Narrator<'s, S> {
 
     /// `rq`'s graph streams from peer `source` to `board` over the
     /// switch, holding the source's DMA engine until `done`.
+    #[inline]
     pub fn migrated_out(
         &mut self,
         rq: &Dispatched,
@@ -386,6 +392,7 @@ impl<'s, S: TraceSink + ?Sized> Narrator<'s, S> {
 
     /// A pipelined ingest of `rq` occupies `board`'s DMA engine over
     /// `begin → end`.
+    #[inline]
     pub fn ingest(&mut self, rq: &Dispatched, board: usize, begin: f64, end: f64) {
         self.digest.push(&[0x1D, rq.tenant as u64, board as u64]);
         if self.sink.enabled() {
@@ -404,6 +411,7 @@ impl<'s, S: TraceSink + ?Sized> Narrator<'s, S> {
 
     /// A pipelined fabric pass of `rq` on `board`: the ICAP `stall` from
     /// `now`, then preprocessing until `done`.
+    #[inline]
     pub fn fabric(&mut self, rq: &Dispatched, board: usize, now: f64, stall: f64, done: f64) {
         if !self.sink.enabled() {
             return;
@@ -416,6 +424,7 @@ impl<'s, S: TraceSink + ?Sized> Narrator<'s, S> {
 
     /// A pipelined hand-off of `rq` occupies `board`'s DMA engine over
     /// `begin → end`.
+    #[inline]
     pub fn handoff(&mut self, rq: &Dispatched, board: usize, begin: f64, end: f64) {
         if self.sink.enabled() {
             self.board_span(rq, board, SpanKind::Handoff, begin, end);
