@@ -1019,8 +1019,8 @@ impl TrafficSim {
 /// Handlers only the opt-in subsystems reach (in-queue expiry, stage
 /// aborts, hedge releases, the admission-time cache consult) are
 /// `#[inline(never)]`: runs that leave those knobs off never call them,
-/// and keeping them out of the inlined event loop holds the default path
-/// at the speed of the single-function loop it replaced.
+/// and keeping them out of the inlined event loop keeps the default path
+/// fast.
 struct Run<'a, S: TraceSink + ?Sized> {
     cfg: ServeConfig,
     tenants: &'a [TenantSpec],
