@@ -1,19 +1,18 @@
 //! CI `bench-smoke`: replay the seeded serving sweep plus the
 //! `grid_sweep` family as one parallel batch, write the
-//! `BENCH_serving.json` artifact, and gate p99 against the checked-in
-//! baseline.
+//! `BENCH_serving.json` artifact, and gate the sweep's baseline form
+//! ([`serving_smoke::render_baseline_json`]) against the checked-in
+//! baseline with [`perfgate::diff`].
 //!
 //! ```text
-//! # what CI runs (fails with exit code 1 on a >20 % regression of any
-//! # gated metric — p99, reconfigs, host_upload_bytes, victim_p99_secs,
-//! # victim_goodput_p99_secs, wasted_work_bytes, wasted_secs,
-//! # tenant_drops, hit_rate, recompute_secs_saved, sim_events_per_sec):
+//! # what CI runs (exit code 1 when any baseline value differs from the
+//! # run's, or sim_events_per_sec falls below its wall-clock floor):
 //! cargo run --release -p agnn-bench --bin bench_smoke -- \
 //!     --baseline ci/bench_serving_baseline.json --out BENCH_serving.json \
 //!     --trace-out BENCH_trace.json --timing-out BENCH_timing.md \
 //!     --summary "$GITHUB_STEP_SUMMARY"
 //!
-//! # refresh the baseline after an intentional perf change (in-PR):
+//! # refresh the baseline after an intentional change (in-PR):
 //! cargo run --release -p agnn-bench --bin bench_smoke -- \
 //!     --write-baseline ci/bench_serving_baseline.json
 //! ```
@@ -31,11 +30,12 @@
 //! ([`serving_smoke::render_timing_table`]) — CI uploads it next to the
 //! metrics artifact so "which scenario got slow" needs no local rebuild.
 //!
-//! `--summary` appends a baseline-vs-run markdown delta table to the
-//! given file (GitHub renders `$GITHUB_STEP_SUMMARY` on the job page, so
-//! regressions are readable without downloading the artifact). The table
-//! is written *before* the gate verdict is returned — a failing run still
-//! publishes its deltas.
+//! `--summary` appends the wall-clock line and the gate's markdown table
+//! ([`perfgate::render_summary_table`], one row per differing value) to
+//! the given file (GitHub renders `$GITHUB_STEP_SUMMARY` on the job page,
+//! so a changed value is readable without downloading the artifact). The
+//! table is written *before* the gate verdict is returned — a failing run
+//! still publishes its diffs.
 //!
 //! `--trace-out <file>` additionally replays the `migration_drift`
 //! scenario with a Perfetto trace sink attached
@@ -66,7 +66,6 @@ struct Args {
     trace_out: Option<String>,
     timing_out: Option<String>,
     jobs: usize,
-    tolerance: f64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -78,7 +77,6 @@ fn parse_args() -> Result<Args, String> {
         trace_out: None,
         timing_out: None,
         jobs: agnn_serve::default_jobs(),
-        tolerance: 0.20,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -95,14 +93,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse::<usize>()
                     .map_err(|e| format!("--jobs: {e}"))?
                     .max(1);
-            }
-            "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("--tolerance: {e}"))?;
-                if !(args.tolerance.is_finite() && args.tolerance >= 0.0) {
-                    return Err("--tolerance must be a non-negative number".to_string());
-                }
             }
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -160,14 +150,14 @@ fn run() -> Result<(), String> {
         println!("wrote timing table {path}");
     }
 
-    let artifact = serving_smoke::render_json(&sweep);
     if let Some(path) = &args.out {
-        std::fs::write(path, &artifact).map_err(|e| format!("writing {path}: {e}"))?;
+        let artifact = serving_smoke::render_json(&sweep);
+        std::fs::write(path, artifact).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote artifact {path}");
     }
+    let run_baseline = serving_smoke::render_baseline_json(&sweep);
     if let Some(path) = &args.write_baseline {
-        let baseline = serving_smoke::render_baseline_json(&sweep);
-        std::fs::write(path, baseline).map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, &run_baseline).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote baseline {path}");
     }
     if let Some(path) = &args.trace_out {
@@ -190,37 +180,51 @@ fn run() -> Result<(), String> {
     if let Some(path) = &args.baseline {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let baseline = perfgate::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-        let current = perfgate::parse(&artifact).map_err(|e| format!("parsing artifact: {e}"))?;
-        // The delta table lands in the summary before the verdict is
-        // decided, so a failing gate still publishes its numbers.
+        let current = perfgate::parse(&run_baseline)
+            .map_err(|e| format!("parsing the run's baseline form: {e}"))?;
+        let diffs = perfgate::diff(&baseline, &current)?;
+        let failing: Vec<&perfgate::Diff> = diffs.iter().filter(|d| d.fails()).collect();
+        // The wall-clock member is the one gated against a floor rather
+        // than exactly, so its verdict gets a line of its own.
+        let slow = failing
+            .iter()
+            .filter(|d| d.member == perfgate::SIM_SPEED_MEMBER)
+            .count();
+        let floor_line = format!(
+            "{} floor (host wall clock): {:.0} % of baseline, {slow} row(s) below it",
+            perfgate::SIM_SPEED_MEMBER,
+            (1.0 - perfgate::SIM_SPEED_TOLERANCE) * 100.0
+        );
+        println!("{floor_line}");
+        // The table lands in the summary before the verdict is decided,
+        // so a failing gate still publishes its diffs.
         if let Some(summary_path) = &args.summary {
             let table = perfgate::render_summary_table(&baseline, &current)?;
-            append_to(summary_path, &table)
+            append_to(summary_path, &format!("\n{floor_line}\n\n{table}"))
                 .map_err(|e| format!("writing summary {summary_path}: {e}"))?;
-            println!("appended delta table to {summary_path}");
+            println!("appended gate table to {summary_path}");
         }
-        let outcome = perfgate::gate_p99(&baseline, &current, args.tolerance)?;
-        for note in &outcome.notes {
-            println!("note: {note}");
-        }
-        if !outcome.passed() {
-            for failure in &outcome.failures {
-                eprintln!("PERF GATE FAILURE: {failure}");
+        if !failing.is_empty() {
+            for d in &failing {
+                eprintln!("PERF GATE FAILURE: {d}");
             }
+            let scenarios: std::collections::BTreeSet<&str> = failing
+                .iter()
+                .filter_map(|d| d.scenario.as_deref())
+                .collect();
             return Err(format!(
-                "{} scenario(s) regressed past {:.0} % — if intentional, refresh the \
+                "{} value(s) differ in {} scenario(s) — if intentional, refresh the \
                  baseline with --write-baseline {path}",
-                outcome.failures.len(),
-                args.tolerance * 100.0
+                failing.len(),
+                scenarios.len()
             ));
         }
         println!(
-            "perf gate passed ({} scenario(s), tolerance {:.0} %)",
+            "perf gate passed: every simulated value of {} scenario(s) matches {path} exactly",
             baseline
                 .get("scenarios")
                 .and_then(perfgate::Json::as_arr)
                 .map_or(0, <[perfgate::Json]>::len),
-            args.tolerance * 100.0
         );
     }
     Ok(())

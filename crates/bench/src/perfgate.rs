@@ -1,83 +1,50 @@
 //! The CI perf-regression gate.
 //!
 //! `bench_smoke` (see `src/bin/bench_smoke.rs`) replays a small seeded
-//! serving scenario sweep and emits `BENCH_serving.json`; this module
-//! parses that document (and the checked-in baseline
-//! `ci/bench_serving_baseline.json`) with a dependency-free JSON reader
-//! and decides whether the run regressed. The contract, enforced by the
-//! `bench-smoke` CI job:
+//! serving scenario sweep, renders it in baseline form
+//! ([`crate::serving_smoke::render_baseline_json`]) and compares that
+//! document with the checked-in baseline `ci/bench_serving_baseline.json`;
+//! this module parses both with a dependency-free JSON reader and holds
+//! the one comparison rule. The `bench-smoke` CI job enforces it on the
+//! release build, and the test
+//! `serving_smoke::tests::checked_in_baseline_matches_the_sweep` enforces
+//! it on every `cargo test`:
 //!
-//! - the baseline and run scenario sets must match: a baseline scenario
-//!   missing from the run fails, and so does a run scenario missing from
-//!   the baseline (an ungated scenario is a silent hole in the perf
-//!   trajectory);
-//! - a scenario's p99 may not exceed the baseline p99 by more than the
-//!   tolerance (20 % by default) — ICAP stalls leaking back into the tail
-//!   is exactly the regression the board pool exists to prevent;
-//! - when both documents record a scenario's `reconfigs`, the count is
-//!   gated with the same tolerance — bitstream-affinity breakage must
-//!   fail even on a trace whose p99 absorbs the extra stalls;
-//! - when both documents record a scenario's `host_upload_bytes`, it is
-//!   gated with the same tolerance — cross-board migration exists to keep
-//!   graphs off the host link, so quietly re-uploading from the host must
-//!   fail even when the tail absorbs it;
-//! - when both documents record a scenario's `victim_p99_secs` (the
-//!   worse victim-tenant tail of a bursty-aggressor scenario), it is
-//!   gated with the same tolerance — weighted fair queueing exists to
-//!   bound exactly that number, and the *overall* p99 is dominated by the
-//!   aggressor, so victim starvation would otherwise hide;
-//! - when both documents record a scenario's `victim_goodput_p99_secs`
-//!   (the worse victim-tenant tail over *on-time* completions of a
-//!   deadline-enforcing scenario), it is gated with the same tolerance —
-//!   deadline enforcement exists to bound exactly that number, and the
-//!   raw victim p99 shrinks as soon as slow requests expire instead of
-//!   completing, so only the goodput tail is honest;
-//! - when both documents record a scenario's `wasted_work_bytes` or
-//!   `wasted_secs` (the deadline lifecycle's waste ledger: bytes moved
-//!   and board time spent for requests that then expired, were aborted
-//!   or lost their hedge race), each is gated with the same tolerance —
-//!   a zero-byte baseline means enforcement silently starting to move
-//!   dead bytes fails CI;
-//! - when both documents record a scenario's `tenant_drops` (an object of
-//!   per-tenant drop counts), each tenant present on both sides is gated
-//!   with the same tolerance — a baseline of zero victim drops means
-//!   *any* victim drop fails, which is the fairness isolation contract;
-//! - when both documents record a scenario's `hit_rate` or
-//!   `recompute_secs_saved` (the result-cache scenario's effectiveness),
-//!   the gate is **inverted** — it fails when the run's value drops below
-//!   `baseline * (1 - tolerance)`. Both are simulated, deterministic
-//!   numbers, so they use the caller's tolerance (not the generous
-//!   wall-clock one): a cache that silently stops hitting keeps a fine
-//!   tail on the light replay trace, so the p99 gate alone would hide
-//!   the regression;
-//! - when both documents record a scenario's `sim_events_per_sec` (the
-//!   simulator's own event-processing throughput), the gate is
-//!   **inverted** — it fails when the run is *slower* than the baseline
-//!   by more than [`SIM_SPEED_TOLERANCE`]. That tolerance is deliberately
-//!   generous (40 %, vs 20 % for the simulated metrics) because wall
-//!   clock on a shared CI runner is noisy in a way simulated seconds are
-//!   not; the gate exists to catch a simulator that got *several times*
-//!   slower (an accidental `O(n²)` scan, tracing overhead leaking into
-//!   the `NullSink` path), not to flag scheduler jitter;
-//! - improvements beyond the tolerance are reported as notes, nudging the
-//!   author to refresh the baseline in the same PR;
-//! - keys the gate does not know are **ignored, never fatal** — run
-//!   documents grow metrics (per-stage breakdowns, overlap ratios,
-//!   eviction counts) faster than baselines are refreshed, and an old
-//!   baseline must keep gating a new artifact.
+//! - [`diff`] pairs the top-level members (`schema`, `seed`), the
+//!   scenarios by `name` and each row's members by key, and reports every
+//!   value that is not identical on both sides as a [`Diff`]. Values
+//!   compare as whole [`Json`] values, so an object such as a per-tenant
+//!   drop map differs when any entry does. A scenario or member present
+//!   on one side only is a diff too: an ungated scenario or value is a
+//!   silent hole in the perf trajectory.
+//! - Every diff fails the gate except one on [`SIM_SPEED_MEMBER`], the
+//!   simulator's own events per host wall-clock second, which fails only
+//!   below `baseline × (1 − SIM_SPEED_TOLERANCE)` ([`Diff::fails`]).
+//!   Every other member is a deterministic simulated number that
+//!   reproduces bit for bit on any host, so a value that moved at all is
+//!   either a regression or an intended change whose PR must refresh the
+//!   baseline (`bench_smoke --write-baseline`).
 //!
-//! The three documents involved — the per-run report
-//! (`agnn-serve-report/v7`), the sweep artifact (`agnn-bench-serving/v7`)
-//! and the checked-in baseline (`agnn-bench-serving-baseline/v6`) — are
-//! specified field-by-field, with the versioning and refresh rules the
-//! stale-baseline CI guard enforces, in `docs/SCHEMAS.md`.
+//! The gate names no other metric: which members are gated is decided by
+//! what `render_baseline_json` writes, in one place. The three documents
+//! involved — the per-run report (`agnn-serve-report/v7`), the sweep
+//! artifact (`agnn-bench-serving/v7`) and the checked-in baseline
+//! (`agnn-bench-serving-baseline/v6`) — are specified field-by-field,
+//! with the versioning and refresh rules, in `docs/SCHEMAS.md`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
-/// Regression tolerance for `sim_events_per_sec` — deliberately wider
-/// than the 20 % used for simulated metrics, because this is the one
-/// gated number measured in *host* wall clock, and two legitimate noise
-/// sources stack on it:
+use agnn_serve::metrics::{json_f64, json_str};
+
+/// The one baseline member measured in host wall clock rather than
+/// simulated, and so the one member [`Diff::fails`] compares against a
+/// floor instead of exactly.
+pub const SIM_SPEED_MEMBER: &str = "sim_events_per_sec";
+
+/// How far below its baseline [`SIM_SPEED_MEMBER`] may fall before the
+/// gate fails. Two legitimate noise sources stack on this host-wall-clock
+/// number:
 ///
 /// - shared CI runners jitter by tens of percent run to run;
 /// - the sweep fans scenarios across every core
@@ -88,11 +55,11 @@ use std::collections::BTreeMap;
 ///   core with a neighbor is genuinely slower than the same run alone,
 ///   by an amount that varies with the batch's scheduling.
 ///
-/// 40 % absorbs both while still catching the failures the gate exists
+/// 40 % absorbs both while still catching the failures the floor exists
 /// for (a simulator that got severalfold slower, or tracing overhead
-/// leaking into the default `NullSink` path). The baseline should be
-/// refreshed with the same `--jobs` CI runs (the default on both sides)
-/// so contention is on both sides of the comparison.
+/// leaking into the default `NullSink` path). Refresh the baseline with
+/// the same `--jobs` CI runs (the default on both sides) so contention
+/// is on both sides of the comparison.
 pub const SIM_SPEED_TOLERANCE: f64 = 0.40;
 
 /// A parsed JSON value. Objects keep insertion order irrelevant — lookups
@@ -326,412 +293,195 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// What the gate decided.
-#[derive(Debug, Default)]
-pub struct GateOutcome {
-    /// Hard failures: the CI job must fail.
-    pub failures: Vec<String>,
-    /// Informational notes (e.g. "improved enough to refresh the
-    /// baseline").
-    pub notes: Vec<String>,
-}
-
-impl GateOutcome {
-    /// True when no scenario regressed.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
+impl fmt::Display for Json {
+    /// Compact JSON, numbers and strings in the workspace encoders' forms
+    /// (`json_f64`, `json_str`), so a value prints as its document holds it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let join = |items: Vec<String>| items.join(",");
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(x) => f.write_str(&json_f64(*x)),
+            Json::Str(s) => f.write_str(&json_str(s)),
+            Json::Arr(items) => {
+                write!(f, "[{}]", join(items.iter().map(Json::to_string).collect()))
+            }
+            Json::Obj(map) => {
+                let members = map
+                    .iter()
+                    .map(|(key, value)| format!("{}:{value}", json_str(key)));
+                write!(f, "{{{}}}", join(members.collect()))
+            }
+        }
     }
 }
 
-/// One scenario's gated metrics.
+/// One value on which a baseline and a run disagree.
 #[derive(Debug, Clone, PartialEq)]
-struct ScenarioMetrics {
-    p99_secs: f64,
-    /// Absent in pre-reconfig-gate baselines; gated only when both sides
-    /// carry it.
-    reconfigs: Option<f64>,
-    /// Absent in pre-migration baselines; gated only when both sides
-    /// carry it.
-    host_upload_bytes: Option<f64>,
-    /// The worse victim-tenant p99 of a bursty-aggressor scenario; gated
-    /// only when both sides carry it.
-    victim_p99_secs: Option<f64>,
-    /// The worse victim-tenant p99 over *on-time* completions of a
-    /// deadline-enforcing scenario; gated only when both sides carry it.
-    victim_goodput_p99_secs: Option<f64>,
-    /// Bytes moved for requests that then expired, were aborted or lost
-    /// their hedge race; gated only when both sides carry it.
-    wasted_work_bytes: Option<f64>,
-    /// Board time written off by the deadline lifecycle's waste ledger;
-    /// gated only when both sides carry it.
-    wasted_secs: Option<f64>,
-    /// Per-tenant drop counts; each tenant present on both sides is
-    /// gated.
-    tenant_drops: Option<BTreeMap<String, f64>>,
-    /// The result-cache hit-rate of a cache-enabled scenario; gated
-    /// *inverted* — lower is a regression — at the caller's tolerance
-    /// when both sides carry it.
-    hit_rate: Option<f64>,
-    /// Recompute seconds the cache avoided; gated *inverted* at the
-    /// caller's tolerance when both sides carry it.
-    recompute_secs_saved: Option<f64>,
-    /// The simulator's own event throughput (host wall clock); gated
-    /// *inverted* — lower is a regression — at [`SIM_SPEED_TOLERANCE`]
-    /// when both sides carry it.
-    sim_events_per_sec: Option<f64>,
+pub struct Diff {
+    /// The scenario row, or `None` for a top-level member (`schema`,
+    /// `seed`).
+    pub scenario: Option<String>,
+    /// The member key. A scenario on one side only is reported once, as a
+    /// diff on its `name`.
+    pub member: String,
+    /// The baseline's value, `None` when the baseline lacks it.
+    pub baseline: Option<Json>,
+    /// The run's value, `None` when the run lacks it.
+    pub run: Option<Json>,
 }
 
-/// Extracts `scenarios[].{name, p99_secs, reconfigs?, host_upload_bytes?,
-/// victim_p99_secs?, victim_goodput_p99_secs?, wasted_work_bytes?,
-/// wasted_secs?, tenant_drops?, hit_rate?, recompute_secs_saved?}`
-/// from a smoke/baseline document.
-fn scenario_metrics(doc: &Json) -> Result<Vec<(String, ScenarioMetrics)>, String> {
+impl Diff {
+    /// Whether this diff fails the gate: every diff does, except a
+    /// [`SIM_SPEED_MEMBER`] row whose run is at or above
+    /// `baseline × (1 − SIM_SPEED_TOLERANCE)`.
+    pub fn fails(&self) -> bool {
+        match self.numbers() {
+            Some((base, run)) if self.member == SIM_SPEED_MEMBER => {
+                run < base * (1.0 - SIM_SPEED_TOLERANCE)
+            }
+            _ => true,
+        }
+    }
+
+    /// Both sides, when both are numbers.
+    fn numbers(&self) -> Option<(f64, f64)> {
+        let side = |v: &Option<Json>| v.as_ref().and_then(Json::as_f64);
+        side(&self.baseline).zip(side(&self.run))
+    }
+}
+
+impl fmt::Display for Diff {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let side = |v: &Option<Json>| v.as_ref().map_or("absent".to_string(), Json::to_string);
+        let scenario = self.scenario.as_deref().unwrap_or("(document)");
+        let (base, run) = (side(&self.baseline), side(&self.run));
+        write!(f, "{scenario} {}: baseline {base} → run {run}", self.member)
+    }
+}
+
+type Members = BTreeMap<String, Json>;
+/// A scenario row and its `name`.
+type Row<'a> = (&'a str, &'a Members);
+
+/// A document's top-level members and its scenario rows, in order.
+fn split(doc: &Json) -> Result<(&Members, Vec<Row<'_>>), String> {
+    let top = doc.as_obj().ok_or("document is not a JSON object")?;
     let scenarios = doc
         .get("scenarios")
         .and_then(Json::as_arr)
         .ok_or("document has no 'scenarios' array")?;
-    scenarios
+    let mut seen = BTreeSet::new();
+    let rows = scenarios.iter().map(|row| {
+        let (Some(members), Some(name)) = (row.as_obj(), row.get("name").and_then(Json::as_str))
+        else {
+            return Err("scenario row without a string 'name'".to_string());
+        };
+        if !seen.insert(name) {
+            return Err(format!("scenario '{name}' appears twice"));
+        }
+        Ok((name, members))
+    });
+    Ok((top, rows.collect::<Result<_, _>>()?))
+}
+
+/// [`diff`]'s result plus the count of values identical on both sides.
+fn compare(baseline: &Json, run: &Json) -> Result<(Vec<Diff>, usize), String> {
+    let (base_top, base_rows) = split(baseline)?;
+    let (run_top, run_rows) = split(run)?;
+    let base_by_name: BTreeMap<&str, &Members> = base_rows.iter().copied().collect();
+    let run_by_name: BTreeMap<&str, &Members> = run_rows.iter().copied().collect();
+    let run_only = run_rows
         .iter()
-        .map(|s| {
-            let name = s
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("scenario missing 'name'")?
-                .to_string();
-            let p99_secs = s
-                .get("p99_secs")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("scenario '{name}' missing numeric 'p99_secs'"))?;
-            let reconfigs = s.get("reconfigs").and_then(Json::as_f64);
-            let host_upload_bytes = s.get("host_upload_bytes").and_then(Json::as_f64);
-            let victim_p99_secs = s.get("victim_p99_secs").and_then(Json::as_f64);
-            let victim_goodput_p99_secs = s.get("victim_goodput_p99_secs").and_then(Json::as_f64);
-            let wasted_work_bytes = s.get("wasted_work_bytes").and_then(Json::as_f64);
-            let wasted_secs = s.get("wasted_secs").and_then(Json::as_f64);
-            let tenant_drops = s.get("tenant_drops").and_then(Json::as_obj).map(|obj| {
-                obj.iter()
-                    .filter_map(|(tenant, v)| v.as_f64().map(|d| (tenant.clone(), d)))
-                    .collect()
-            });
-            let hit_rate = s.get("hit_rate").and_then(Json::as_f64);
-            let recompute_secs_saved = s.get("recompute_secs_saved").and_then(Json::as_f64);
-            let sim_events_per_sec = s.get("sim_events_per_sec").and_then(Json::as_f64);
-            Ok((
-                name,
-                ScenarioMetrics {
-                    p99_secs,
-                    reconfigs,
-                    host_upload_bytes,
-                    victim_p99_secs,
-                    victim_goodput_p99_secs,
-                    wasted_work_bytes,
-                    wasted_secs,
-                    tenant_drops,
-                    hit_rate,
-                    recompute_secs_saved,
-                    sim_events_per_sec,
-                },
-            ))
-        })
-        .collect()
-}
-
-/// Gates `current` against `baseline`: the two scenario sets must match
-/// (a baseline scenario missing from the run, or a run scenario missing
-/// from the baseline, both fail — an ungated scenario is a silent hole in
-/// the perf trajectory), p99 must not exceed `baseline * (1 + tolerance)`,
-/// and — when both documents record it — neither may the reconfiguration
-/// count (ICAP thrash regresses the tail even when this trace's p99
-/// absorbs it).
-///
-/// # Errors
-///
-/// Returns an error when either document lacks the gate schema
-/// (`scenarios[].name` / `scenarios[].p99_secs`).
-pub fn gate_p99(baseline: &Json, current: &Json, tolerance: f64) -> Result<GateOutcome, String> {
-    let base = scenario_metrics(baseline)?;
-    let cur: BTreeMap<String, ScenarioMetrics> = scenario_metrics(current)?.into_iter().collect();
-    let mut outcome = GateOutcome::default();
-    for (name, base_m) in &base {
-        let Some(cur_m) = cur.get(name) else {
-            outcome
-                .failures
-                .push(format!("scenario '{name}' missing from the current run"));
-            continue;
+        .filter(|(name, _)| !base_by_name.contains_key(name));
+    // Rows compare every member but their join key, the document every
+    // member but its rows; a one-sided scenario is reported on its name.
+    let scenarios = base_rows.iter().chain(run_only).map(|&(name, _)| {
+        let (base, run) = (base_by_name.get(name), run_by_name.get(name));
+        (Some(name), base.copied(), run.copied(), "name")
+    });
+    let document = (None, Some(base_top), Some(run_top), "scenarios");
+    let (mut diffs, mut identical) = (Vec::new(), 0);
+    for (scenario, base, run, skip) in std::iter::once(document).chain(scenarios) {
+        let keys: BTreeSet<&str> = match (base, run) {
+            (Some(b), Some(r)) => b
+                .keys()
+                .chain(r.keys())
+                .map(String::as_str)
+                .filter(|k| *k != skip)
+                .collect(),
+            _ => BTreeSet::from(["name"]),
         };
-        let (base_p99, cur_p99) = (base_m.p99_secs, cur_m.p99_secs);
-        let limit = base_p99 * (1.0 + tolerance);
-        if cur_p99 > limit {
-            outcome.failures.push(format!(
-                "'{name}' p99 regressed: {cur_p99:.6} s vs baseline {base_p99:.6} s \
-                 (limit {limit:.6} s, +{:.1} %)",
-                (cur_p99 / base_p99 - 1.0) * 100.0
-            ));
-        } else if cur_p99 < base_p99 * (1.0 - tolerance) {
-            outcome.notes.push(format!(
-                "'{name}' p99 improved {:.1} % past the tolerance — consider refreshing \
-                 the baseline ({cur_p99:.6} s vs {base_p99:.6} s)",
-                (1.0 - cur_p99 / base_p99) * 100.0
-            ));
-        }
-        if let (Some(base_rc), Some(cur_rc)) = (base_m.reconfigs, cur_m.reconfigs) {
-            if cur_rc > base_rc * (1.0 + tolerance) {
-                outcome.failures.push(format!(
-                    "'{name}' reconfigurations regressed: {cur_rc:.0} vs baseline {base_rc:.0} \
-                     (limit {:.1})",
-                    base_rc * (1.0 + tolerance)
-                ));
-            }
-        }
-        if let (Some(base_hb), Some(cur_hb)) = (base_m.host_upload_bytes, cur_m.host_upload_bytes) {
-            if cur_hb > base_hb * (1.0 + tolerance) {
-                outcome.failures.push(format!(
-                    "'{name}' host upload bytes regressed: {cur_hb:.0} vs baseline {base_hb:.0} \
-                     (limit {:.0}) — graphs are re-crossing the host link",
-                    base_hb * (1.0 + tolerance)
-                ));
-            }
-        }
-        if let (Some(base_vp), Some(cur_vp)) = (base_m.victim_p99_secs, cur_m.victim_p99_secs) {
-            if cur_vp > base_vp * (1.0 + tolerance) {
-                outcome.failures.push(format!(
-                    "'{name}' victim p99 regressed: {cur_vp:.6} s vs baseline {base_vp:.6} s \
-                     (limit {:.6} s) — the fair queue is no longer isolating victims",
-                    base_vp * (1.0 + tolerance)
-                ));
-            }
-        }
-        if let (Some(base_gp), Some(cur_gp)) = (
-            base_m.victim_goodput_p99_secs,
-            cur_m.victim_goodput_p99_secs,
-        ) {
-            if cur_gp > base_gp * (1.0 + tolerance) {
-                outcome.failures.push(format!(
-                    "'{name}' victim goodput p99 regressed: {cur_gp:.6} s vs baseline \
-                     {base_gp:.6} s (limit {:.6} s) — on-time service is drifting toward \
-                     the deadline",
-                    base_gp * (1.0 + tolerance)
-                ));
-            }
-        }
-        if let (Some(base_wb), Some(cur_wb)) = (base_m.wasted_work_bytes, cur_m.wasted_work_bytes) {
-            // A zero-byte baseline tolerates zero: the deadline lifecycle
-            // moving *any* dead bytes on a trace that never did is a
-            // regression, not noise.
-            if cur_wb > base_wb * (1.0 + tolerance) {
-                outcome.failures.push(format!(
-                    "'{name}' wasted work regressed: {cur_wb:.0} bytes moved for dead \
-                     requests vs baseline {base_wb:.0} (limit {:.0})",
-                    base_wb * (1.0 + tolerance)
-                ));
-            }
-        }
-        if let (Some(base_ws), Some(cur_ws)) = (base_m.wasted_secs, cur_m.wasted_secs) {
-            if cur_ws > base_ws * (1.0 + tolerance) {
-                outcome.failures.push(format!(
-                    "'{name}' wasted board time regressed: {cur_ws:.3} s written off vs \
-                     baseline {base_ws:.3} s (limit {:.3} s)",
-                    base_ws * (1.0 + tolerance)
-                ));
-            }
-        }
-        if let (Some(base_drops), Some(cur_drops)) = (&base_m.tenant_drops, &cur_m.tenant_drops) {
-            for (tenant, base_d) in base_drops {
-                let Some(cur_d) = cur_drops.get(tenant) else {
-                    continue;
-                };
-                // A zero-drop baseline tolerates zero: any drop for that
-                // tenant is a fairness-isolation failure.
-                if *cur_d > base_d * (1.0 + tolerance) {
-                    outcome.failures.push(format!(
-                        "'{name}' drops for tenant '{tenant}' regressed: {cur_d:.0} vs \
-                         baseline {base_d:.0} (limit {:.1})",
-                        base_d * (1.0 + tolerance)
-                    ));
-                }
-            }
-        }
-        if let (Some(base_hr), Some(cur_hr)) = (base_m.hit_rate, cur_m.hit_rate) {
-            // Inverted gate, caller's tolerance: the hit-rate is a
-            // deterministic simulated number, and the regression
-            // direction is *down* — a cache that stops hitting keeps a
-            // fine tail on the light replay trace.
-            let floor = base_hr * (1.0 - tolerance);
-            if cur_hr < floor {
-                outcome.failures.push(format!(
-                    "'{name}' cache hit-rate regressed: {cur_hr:.4} vs baseline {base_hr:.4} \
-                     (floor {floor:.4}) — the result cache stopped hitting",
-                ));
-            }
-        }
-        if let (Some(base_rs), Some(cur_rs)) =
-            (base_m.recompute_secs_saved, cur_m.recompute_secs_saved)
-        {
-            // Inverted like the hit-rate: the saving is the scenario's
-            // whole point, and a cache serving cheaper hits (partial
-            // instead of full) can hold its hit-rate while quietly
-            // recomputing more.
-            let floor = base_rs * (1.0 - tolerance);
-            if cur_rs < floor {
-                outcome.failures.push(format!(
-                    "'{name}' recompute seconds saved regressed: {cur_rs:.1} s vs baseline \
-                     {base_rs:.1} s (floor {floor:.1} s) — the cache is avoiding less work",
-                ));
-            }
-        }
-        if let (Some(base_ev), Some(cur_ev)) = (base_m.sim_events_per_sec, cur_m.sim_events_per_sec)
-        {
-            // Inverted gate: the regression direction is *down*. The
-            // floor uses SIM_SPEED_TOLERANCE, not the caller's
-            // `tolerance` — host wall clock on a CI runner deserves far
-            // more slack than simulated seconds (see the const's docs).
-            let floor = base_ev * (1.0 - SIM_SPEED_TOLERANCE);
-            if cur_ev < floor {
-                outcome.failures.push(format!(
-                    "'{name}' sim speed regressed: {cur_ev:.0} events/s vs baseline \
-                     {base_ev:.0} (floor {floor:.0}, -{:.1} %) — the simulator itself \
-                     got slower, beyond even the generous CI-noise tolerance",
-                    (1.0 - cur_ev / base_ev) * 100.0
-                ));
-            } else if cur_ev > base_ev * (1.0 + SIM_SPEED_TOLERANCE) {
-                outcome.notes.push(format!(
-                    "'{name}' sim speed improved {:.1} % past the tolerance — consider \
-                     refreshing the baseline ({cur_ev:.0} events/s vs {base_ev:.0})",
-                    (cur_ev / base_ev - 1.0) * 100.0
-                ));
+        for member in keys {
+            let b = base.and_then(|m| m.get(member));
+            let r = run.and_then(|m| m.get(member));
+            if b.is_some() && b == r {
+                identical += 1;
+            } else {
+                diffs.push(Diff {
+                    scenario: scenario.map(str::to_string),
+                    member: member.to_string(),
+                    baseline: b.cloned(),
+                    run: r.cloned(),
+                });
             }
         }
     }
-    let base_names: std::collections::BTreeSet<&str> =
-        base.iter().map(|(name, _)| name.as_str()).collect();
-    for name in cur.keys() {
-        if !base_names.contains(name.as_str()) {
-            outcome.failures.push(format!(
-                "scenario '{name}' ran but is missing from the baseline — refresh it \
-                 with --write-baseline so the scenario is gated"
-            ));
-        }
-    }
-    Ok(outcome)
+    Ok((diffs, identical))
 }
 
-/// Renders a baseline-vs-run delta table in GitHub-flavored markdown —
-/// the `bench-smoke` job appends it to `$GITHUB_STEP_SUMMARY`, so a perf
-/// regression is readable on the job page without downloading the
-/// artifact. Scenarios appear in baseline order, followed by run-only
-/// scenarios; a metric either side lacks renders as `—`.
+/// Compares two baseline-form documents value by value: top-level
+/// members, the scenario sets (joined on `name`), each row's member keys
+/// and each value as a whole [`Json`] value. Returns every value that is
+/// not identical on both sides — top-level members first, then scenarios
+/// in baseline order, then run-only scenarios, members in key order.
+/// Which diffs fail the gate is [`Diff::fails`].
 ///
 /// # Errors
 ///
-/// Returns an error when either document lacks the gate schema.
-pub fn render_summary_table(baseline: &Json, current: &Json) -> Result<String, String> {
-    let base = scenario_metrics(baseline)?;
-    let cur = scenario_metrics(current)?;
-    let cur_map: BTreeMap<String, ScenarioMetrics> = cur.iter().cloned().collect();
-    let pct = |b: f64, c: f64| {
-        if b > 0.0 {
-            format!("{:+.1}%", (c / b - 1.0) * 100.0)
-        } else {
-            "—".to_string()
-        }
-    };
-    let opt = |v: Option<f64>, scale: f64, digits: usize| {
-        v.map_or("—".to_string(), |x| format!("{:.*}", digits, x * scale))
-    };
-    let opt_pct = |b: Option<f64>, c: Option<f64>| match (b, c) {
-        (Some(b), Some(c)) => pct(b, c),
-        _ => "—".to_string(),
-    };
-    // Per-tenant drops, base → run for every tenant both sides know
-    // (run-only tenants appear with a `—` base) — the fairness gate fails
-    // per tenant, so the summary must name the tenant too.
-    let drops_cell = |b: Option<&BTreeMap<String, f64>>, c: Option<&BTreeMap<String, f64>>| {
-        let (Some(b), Some(c)) = (b, c) else {
-            return "—".to_string();
-        };
-        let cells: Vec<String> = b
-            .iter()
-            .map(|(tenant, base_d)| {
-                let run_d = c.get(tenant).map_or("—".to_string(), |d| format!("{d:.0}"));
-                format!("{tenant} {base_d:.0}→{run_d}")
-            })
-            .chain(
-                c.iter()
-                    .filter(|(tenant, _)| !b.contains_key(*tenant))
-                    .map(|(tenant, run_d)| format!("{tenant} —→{run_d:.0}")),
-            )
-            .collect();
-        cells.join(", ")
-    };
-    let mut out = String::from("### Serving perf gate: baseline vs run\n\n");
-    out.push_str(
-        "| scenario | p99 ms (base → run) | Δ p99 | reconfigs (base → run) \
-         | host GB (base → run) | Δ host | victim p99 ms (base → run) | Δ victim \
-         | goodput p99 ms (base → run) | wasted s (base → run) | wasted MB (base → run) \
-         | tenant drops (base → run) | hit rate (base → run) \
-         | recompute s saved (base → run) | sim kev/s (base → run) |\n",
+/// Returns an error when either document is not an object with a
+/// `scenarios` array of objects carrying unique string `name`s.
+pub fn diff(baseline: &Json, run: &Json) -> Result<Vec<Diff>, String> {
+    Ok(compare(baseline, run)?.0)
+}
+
+/// Renders the gate's verdict in GitHub-flavored markdown — the
+/// `bench-smoke` job appends it to `$GITHUB_STEP_SUMMARY`, so a changed
+/// value is readable on the job page without downloading the artifact: a
+/// count of identical values, then one row per [`diff`] (scenario |
+/// member | baseline | run | Δ %, where Δ % needs a nonzero numeric
+/// baseline).
+///
+/// # Errors
+///
+/// Returns the errors of [`diff`].
+pub fn render_summary_table(baseline: &Json, run: &Json) -> Result<String, String> {
+    let (diffs, identical) = compare(baseline, run)?;
+    let failing = diffs.iter().filter(|d| d.fails()).count();
+    let mut out = format!(
+        "### Serving perf gate: baseline vs run\n\n\
+         {identical} value(s) identical, {} differ, {failing} fail the gate.\n",
+        diffs.len()
     );
-    out.push_str("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n");
-    for (name, b) in &base {
-        match cur_map.get(name) {
-            Some(c) => {
-                out.push_str(&format!(
-                    "| `{name}` | {:.1} → {:.1} | {} | {} → {} | {} → {} | {} \
-                     | {} → {} | {} | {} → {} | {} → {} | {} → {} | {} | {} → {} \
-                     | {} → {} | {} → {} |\n",
-                    b.p99_secs * 1e3,
-                    c.p99_secs * 1e3,
-                    pct(b.p99_secs, c.p99_secs),
-                    opt(b.reconfigs, 1.0, 0),
-                    opt(c.reconfigs, 1.0, 0),
-                    opt(b.host_upload_bytes, 1e-9, 2),
-                    opt(c.host_upload_bytes, 1e-9, 2),
-                    opt_pct(b.host_upload_bytes, c.host_upload_bytes),
-                    opt(b.victim_p99_secs, 1e3, 1),
-                    opt(c.victim_p99_secs, 1e3, 1),
-                    opt_pct(b.victim_p99_secs, c.victim_p99_secs),
-                    opt(b.victim_goodput_p99_secs, 1e3, 1),
-                    opt(c.victim_goodput_p99_secs, 1e3, 1),
-                    opt(b.wasted_secs, 1.0, 2),
-                    opt(c.wasted_secs, 1.0, 2),
-                    opt(b.wasted_work_bytes, 1e-6, 2),
-                    opt(c.wasted_work_bytes, 1e-6, 2),
-                    drops_cell(b.tenant_drops.as_ref(), c.tenant_drops.as_ref()),
-                    opt(b.hit_rate, 100.0, 1),
-                    opt(c.hit_rate, 100.0, 1),
-                    opt(b.recompute_secs_saved, 1.0, 1),
-                    opt(c.recompute_secs_saved, 1.0, 1),
-                    opt(b.sim_events_per_sec, 1e-3, 0),
-                    opt(c.sim_events_per_sec, 1e-3, 0),
-                ));
-            }
-            None => {
-                out.push_str(&format!(
-                    "| `{name}` | {:.1} → **missing from run** | — | — | — | — | — | — | — | — | — | — | — | — | — |\n",
-                    b.p99_secs * 1e3,
-                ));
-            }
-        }
+    if diffs.is_empty() {
+        return Ok(out);
     }
-    let base_names: std::collections::BTreeSet<&str> =
-        base.iter().map(|(name, _)| name.as_str()).collect();
-    for (name, c) in &cur {
-        if !base_names.contains(name.as_str()) {
-            out.push_str(&format!(
-                "| `{name}` | **not in baseline** → {:.1} | — | — → {} | — → {} | — \
-                 | — → {} | — | — → {} | — → {} | — → {} | — | — → {} | — → {} | — → {} |\n",
-                c.p99_secs * 1e3,
-                opt(c.reconfigs, 1.0, 0),
-                opt(c.host_upload_bytes, 1e-9, 2),
-                opt(c.victim_p99_secs, 1e3, 1),
-                opt(c.victim_goodput_p99_secs, 1e3, 1),
-                opt(c.wasted_secs, 1.0, 2),
-                opt(c.wasted_work_bytes, 1e-6, 2),
-                opt(c.hit_rate, 100.0, 1),
-                opt(c.recompute_secs_saved, 1.0, 1),
-                opt(c.sim_events_per_sec, 1e-3, 0),
-            ));
-        }
+    out.push_str("\n| scenario | member | baseline | run | Δ % |\n|---|---|---|---|---|\n");
+    let cell = |v: &Option<Json>| {
+        v.as_ref()
+            .map_or("absent".to_string(), |v| format!("`{v}`"))
+    };
+    for d in &diffs {
+        let delta = match d.numbers() {
+            Some((base, run)) if base != 0.0 => format!("{:+.2}%", (run / base - 1.0) * 100.0),
+            _ => "—".to_string(),
+        };
+        let scenario = d.scenario.as_deref().unwrap_or("(document)");
+        let (base, run) = (cell(&d.baseline), cell(&d.run));
+        out.push_str(&format!(
+            "| `{scenario}` | `{}` | {base} | {run} | {delta} |\n",
+            d.member
+        ));
     }
     Ok(out)
 }
@@ -791,377 +541,229 @@ mod tests {
         assert!(parse("").is_err());
     }
 
-    fn doc(pairs: &[(&str, f64)]) -> Json {
-        let scenarios = pairs
-            .iter()
-            .map(|(name, p99)| {
-                let mut obj = BTreeMap::new();
-                obj.insert("name".to_string(), Json::Str((*name).to_string()));
-                obj.insert("p99_secs".to_string(), Json::Num(*p99));
-                Json::Obj(obj)
-            })
-            .collect();
-        let mut root = BTreeMap::new();
-        root.insert("scenarios".to_string(), Json::Arr(scenarios));
-        Json::Obj(root)
+    /// The checked-in baseline: the gate's real input, so the table-driven
+    /// test below covers every member the sweep gates today.
+    const CHECKED_IN: &str = include_str!("../../../ci/bench_serving_baseline.json");
+
+    /// A baseline-form document with the given scenario rows.
+    fn doc(rows: &str) -> Json {
+        parse(&format!(
+            r#"{{"schema": "s", "seed": 1, "scenarios": [{rows}]}}"#
+        ))
+        .unwrap()
     }
 
-    #[test]
-    fn gate_passes_within_tolerance_and_fails_beyond() {
-        let baseline = doc(&[("a", 1.0), ("b", 0.5)]);
-        let ok = gate_p99(&baseline, &doc(&[("a", 1.19), ("b", 0.5)]), 0.20).unwrap();
-        assert!(ok.passed(), "{:?}", ok.failures);
-        let bad = gate_p99(&baseline, &doc(&[("a", 1.21), ("b", 0.5)]), 0.20).unwrap();
-        assert!(!bad.passed());
-        assert!(bad.failures[0].contains("'a'"), "{:?}", bad.failures);
-    }
-
-    #[test]
-    fn gate_fails_on_missing_scenarios_and_notes_improvements() {
-        let baseline = doc(&[("a", 1.0), ("b", 1.0)]);
-        let outcome = gate_p99(&baseline, &doc(&[("a", 0.5)]), 0.20).unwrap();
-        assert!(!outcome.passed(), "missing scenario must fail the gate");
-        assert!(outcome.failures[0].contains("'b'"));
-        assert_eq!(outcome.notes.len(), 1, "halved p99 earns a refresh note");
-    }
-
-    #[test]
-    fn gate_fails_on_scenarios_absent_from_the_baseline() {
-        let baseline = doc(&[("a", 1.0)]);
-        let outcome = gate_p99(&baseline, &doc(&[("a", 1.0), ("new", 0.1)]), 0.20).unwrap();
-        assert!(!outcome.passed(), "an ungated scenario must fail the gate");
-        assert!(
-            outcome.failures[0].contains("'new'") && outcome.failures[0].contains("baseline"),
-            "{:?}",
-            outcome.failures
-        );
-    }
-
-    fn doc_with_reconfigs(pairs: &[(&str, f64, f64)]) -> Json {
-        let scenarios = pairs
-            .iter()
-            .map(|(name, p99, reconfigs)| {
-                let mut obj = BTreeMap::new();
-                obj.insert("name".to_string(), Json::Str((*name).to_string()));
-                obj.insert("p99_secs".to_string(), Json::Num(*p99));
-                obj.insert("reconfigs".to_string(), Json::Num(*reconfigs));
-                Json::Obj(obj)
-            })
-            .collect();
-        let mut root = BTreeMap::new();
-        root.insert("scenarios".to_string(), Json::Arr(scenarios));
-        Json::Obj(root)
-    }
-
-    #[test]
-    fn gate_fails_when_reconfigurations_regress() {
-        let baseline = doc_with_reconfigs(&[("a", 1.0, 3.0)]);
-        let ok = gate_p99(&baseline, &doc_with_reconfigs(&[("a", 1.0, 3.0)]), 0.20).unwrap();
-        assert!(ok.passed(), "{:?}", ok.failures);
-        let bad = gate_p99(&baseline, &doc_with_reconfigs(&[("a", 1.0, 2404.0)]), 0.20).unwrap();
-        assert!(!bad.passed(), "ICAP thrash must fail even at equal p99");
-        assert!(
-            bad.failures[0].contains("reconfigurations"),
-            "{:?}",
-            bad.failures
-        );
-        // A baseline without the field gates p99 only (older schema).
-        let legacy = gate_p99(
-            &doc(&[("a", 1.0)]),
-            &doc_with_reconfigs(&[("a", 1.0, 9999.0)]),
-            0.2,
-        )
-        .unwrap();
-        assert!(legacy.passed(), "{:?}", legacy.failures);
-    }
-
-    #[test]
-    fn gate_fails_when_host_upload_bytes_regress() {
-        let row = |hb: f64| {
-            parse(&format!(
-                r#"{{"scenarios": [{{"name": "m", "p99_secs": 1.0, "host_upload_bytes": {hb}}}]}}"#
-            ))
-            .unwrap()
+    fn row_mut(doc: &mut Json, index: usize) -> &mut Members {
+        let Json::Obj(top) = doc else {
+            panic!("document is an object")
         };
-        let baseline = row(100.0e9);
-        let ok = gate_p99(&baseline, &row(110.0e9), 0.20).unwrap();
-        assert!(ok.passed(), "{:?}", ok.failures);
-        let bad = gate_p99(&baseline, &row(130.0e9), 0.20).unwrap();
-        assert!(!bad.passed(), "host-link leakage must fail at equal p99");
-        assert!(
-            bad.failures[0].contains("host upload bytes"),
-            "{:?}",
-            bad.failures
-        );
-        // A baseline without the field gates p99/reconfigs only.
-        let legacy = gate_p99(&doc(&[("m", 1.0)]), &row(900.0e9), 0.2).unwrap();
-        assert!(legacy.passed(), "{:?}", legacy.failures);
+        let Some(Json::Arr(rows)) = top.get_mut("scenarios") else {
+            panic!("document has scenarios")
+        };
+        let Json::Obj(row) = &mut rows[index] else {
+            panic!("row is an object")
+        };
+        row
+    }
+
+    /// The smallest changes to `value`: one ulp up for a number, +1 on
+    /// each entry of an object of counts.
+    fn nudges(value: &Json) -> Vec<Json> {
+        match value {
+            Json::Num(x) => vec![Json::Num(x.next_up())],
+            Json::Obj(entries) => entries
+                .keys()
+                .map(|key| {
+                    let mut bumped = entries.clone();
+                    let Some(Json::Num(count)) = bumped.get_mut(key) else {
+                        panic!("'{key}' is a count")
+                    };
+                    *count += 1.0;
+                    Json::Obj(bumped)
+                })
+                .collect(),
+            other => panic!("no nudge for {other}"),
+        }
+    }
+
+    /// For every member of every row of the checked-in baseline, three
+    /// edits each give exactly one diff naming that scenario and member:
+    /// the smallest nudge, removing the member and adding an unknown one.
+    /// All fail, except a one-ulp nudge of the wall-clock member.
+    #[test]
+    fn every_baseline_value_is_compared_exactly() {
+        let baseline = parse(CHECKED_IN).unwrap();
+        assert_eq!(diff(&baseline, &baseline).unwrap(), []);
+        let rows = baseline.get("scenarios").and_then(Json::as_arr).unwrap();
+        assert!(!rows.is_empty());
+        for (index, row) in rows.iter().enumerate() {
+            let scenario = row.get("name").and_then(Json::as_str).unwrap();
+            let members = row.as_obj().unwrap();
+            for (member, value) in members.iter().filter(|(key, _)| *key != "name") {
+                let only_diff = |edit: &dyn Fn(&mut Members), named: &str| {
+                    let mut run = baseline.clone();
+                    edit(row_mut(&mut run, index));
+                    let diffs = diff(&baseline, &run).unwrap();
+                    assert_eq!(diffs.len(), 1, "{scenario} {member}: {diffs:?}");
+                    assert_eq!(diffs[0].scenario.as_deref(), Some(scenario));
+                    assert_eq!(diffs[0].member, named);
+                    diffs[0].fails()
+                };
+                for nudged in nudges(value) {
+                    let fails = only_diff(
+                        &|row| {
+                            row.insert(member.clone(), nudged.clone());
+                        },
+                        member,
+                    );
+                    assert_eq!(fails, member != SIM_SPEED_MEMBER, "{scenario} {member}");
+                }
+                assert!(only_diff(
+                    &|row| {
+                        row.remove(member);
+                    },
+                    member
+                ));
+                let unknown = format!("{member}_unknown");
+                assert!(only_diff(
+                    &|row| {
+                        row.insert(unknown.clone(), value.clone());
+                    },
+                    &unknown
+                ));
+            }
+        }
     }
 
     #[test]
-    fn gate_fails_when_the_victim_tail_regresses() {
-        let row = |vp: f64| {
-            parse(&format!(
-                r#"{{"scenarios": [{{"name": "b", "p99_secs": 10.0, "victim_p99_secs": {vp}}}]}}"#
-            ))
-            .unwrap()
-        };
-        let baseline = row(0.8);
-        let ok = gate_p99(&baseline, &row(0.9), 0.20).unwrap();
-        assert!(ok.passed(), "{:?}", ok.failures);
-        // The overall p99 (aggressor-dominated) is identical, yet victim
-        // starvation must fail on its own.
-        let bad = gate_p99(&baseline, &row(8.0), 0.20).unwrap();
-        assert!(!bad.passed());
-        assert!(bad.failures[0].contains("victim p99"), "{:?}", bad.failures);
-        // A baseline without the field gates the overall p99 only.
-        let legacy = gate_p99(&doc(&[("b", 10.0)]), &row(80.0), 0.2).unwrap();
-        assert!(legacy.passed(), "{:?}", legacy.failures);
-    }
-
-    #[test]
-    fn gate_fails_when_a_tenant_starts_dropping() {
-        let row = |victim: f64, aggressor: f64| {
-            parse(&format!(
-                r#"{{"scenarios": [{{"name": "b", "p99_secs": 1.0,
-                    "tenant_drops": {{"victim": {victim}, "aggressor": {aggressor}}}}}]}}"#
-            ))
-            .unwrap()
-        };
-        let baseline = row(0.0, 4000.0);
-        let ok = gate_p99(&baseline, &row(0.0, 4100.0), 0.20).unwrap();
-        assert!(ok.passed(), "{:?}", ok.failures);
-        let bad = gate_p99(&baseline, &row(5.0, 4000.0), 0.20).unwrap();
-        assert!(!bad.passed(), "a zero-drop baseline tolerates zero drops");
-        assert!(bad.failures[0].contains("'victim'"), "{:?}", bad.failures);
-        // A tenant present only on one side is skipped, not fatal.
-        let renamed = parse(
-            r#"{"scenarios": [{"name": "b", "p99_secs": 1.0,
-                "tenant_drops": {"victim-2": 9.0}}]}"#,
-        )
-        .unwrap();
-        let skipped = gate_p99(&baseline, &renamed, 0.20).unwrap();
-        assert!(skipped.passed(), "{:?}", skipped.failures);
+    fn schema_or_seed_mismatch_fails() {
+        let baseline = parse(CHECKED_IN).unwrap();
+        for (member, value) in [
+            (
+                "schema",
+                Json::Str("agnn-bench-serving-baseline/v0".to_string()),
+            ),
+            ("seed", Json::Num(1.0)),
+        ] {
+            let mut run = baseline.clone();
+            let Json::Obj(top) = &mut run else {
+                panic!("document is an object")
+            };
+            top.insert(member.to_string(), value);
+            let diffs = diff(&baseline, &run).unwrap();
+            assert_eq!(diffs.len(), 1, "{diffs:?}");
+            assert_eq!(
+                (diffs[0].scenario.as_deref(), diffs[0].member.as_str()),
+                (None, member)
+            );
+            assert!(diffs[0].fails());
+        }
     }
 
     #[test]
     fn sim_speed_gate_is_inverted_and_generous() {
-        let row = |ev: f64| {
-            parse(&format!(
-                r#"{{"scenarios": [{{"name": "s", "p99_secs": 1.0, "sim_events_per_sec": {ev}}}]}}"#
-            ))
-            .unwrap()
-        };
+        let row = |ev: f64| doc(&format!(r#"{{"name": "s", "sim_events_per_sec": {ev}}}"#));
         let baseline = row(100_000.0);
-        // 35 % slower sits inside the 40 % CI-noise tolerance — no
-        // matter how tight the caller's simulated-metric tolerance is.
-        let noisy = gate_p99(&baseline, &row(65_000.0), 0.05).unwrap();
-        assert!(noisy.passed(), "{:?}", noisy.failures);
+        let fails = |ev: f64| {
+            let diffs = diff(&baseline, &row(ev)).unwrap();
+            assert_eq!(diffs.len(), 1, "{diffs:?}");
+            diffs[0].fails()
+        };
+        // 35 % slower sits inside the 40 % CI-noise floor.
+        assert!(!fails(65_000.0));
         // Severalfold slower fails: that is a real simulator regression.
-        let slow = gate_p99(&baseline, &row(30_000.0), 0.20).unwrap();
-        assert!(!slow.passed());
-        assert!(
-            slow.failures[0].contains("sim speed"),
-            "{:?}",
-            slow.failures
-        );
-        // Faster never fails (the inversion), but a big win earns a
-        // refresh note.
-        let fast = gate_p99(&baseline, &row(1_000_000.0), 0.20).unwrap();
-        assert!(fast.passed(), "{:?}", fast.failures);
-        assert_eq!(fast.notes.len(), 1, "{:?}", fast.notes);
-        // A baseline without the field (pre-v4 schema) gates p99 only.
-        let legacy = gate_p99(&doc(&[("s", 1.0)]), &row(1.0), 0.2).unwrap();
-        assert!(legacy.passed(), "{:?}", legacy.failures);
+        assert!(fails(30_000.0));
+        // Faster never fails (the inversion).
+        assert!(!fails(1_000_000.0));
+        // On one side only, it fails like any other member.
+        let without = doc(r#"{"name": "s"}"#);
+        assert!(diff(&baseline, &without).unwrap()[0].fails());
+        assert!(diff(&without, &baseline).unwrap()[0].fails());
     }
 
     #[test]
-    fn cache_gates_are_inverted_floors() {
-        let row = |hr: f64, saved: f64| {
-            parse(&format!(
-                r#"{{"scenarios": [{{"name": "c", "p99_secs": 0.01,
-                    "hit_rate": {hr}, "recompute_secs_saved": {saved}}}]}}"#
-            ))
-            .unwrap()
-        };
-        let baseline = row(0.95, 5000.0);
-        // Small wobble within the tolerance passes; *rising* never fails
-        // (the inversion).
-        let ok = gate_p99(&baseline, &row(0.90, 4500.0), 0.20).unwrap();
-        assert!(ok.passed(), "{:?}", ok.failures);
-        let better = gate_p99(&baseline, &row(1.0, 9000.0), 0.20).unwrap();
-        assert!(better.passed(), "{:?}", better.failures);
-        // A collapsed hit-rate fails even though the p99 is identical —
-        // the tail alone would hide a cache that stopped hitting.
-        let cold = gate_p99(&baseline, &row(0.05, 5000.0), 0.20).unwrap();
-        assert!(!cold.passed());
-        assert!(cold.failures[0].contains("hit-rate"), "{:?}", cold.failures);
-        // A held hit-rate with a collapsed saving fails on its own: the
-        // cache can keep hitting while serving only cheap partial hits.
-        let shallow = gate_p99(&baseline, &row(0.95, 100.0), 0.20).unwrap();
-        assert!(!shallow.passed());
-        assert!(
-            shallow.failures[0].contains("recompute seconds saved"),
-            "{:?}",
-            shallow.failures
+    fn gate_fails_on_scenarios_missing_from_the_run() {
+        let baseline = doc(r#"{"name": "a", "p99_secs": 1.0}, {"name": "b", "p99_secs": 1.0}"#);
+        let diffs = diff(&baseline, &doc(r#"{"name": "a", "p99_secs": 1.0}"#)).unwrap();
+        assert_eq!(
+            diffs,
+            [Diff {
+                scenario: Some("b".to_string()),
+                member: "name".to_string(),
+                baseline: Some(Json::Str("b".to_string())),
+                run: None,
+            }]
         );
-        // A baseline without the members (pre-v5 schema) gates p99 only.
-        let legacy = gate_p99(&doc(&[("c", 0.01)]), &row(0.0, 0.0), 0.2).unwrap();
-        assert!(legacy.passed(), "{:?}", legacy.failures);
+        assert!(diffs[0].fails());
+    }
+
+    #[test]
+    fn gate_fails_on_scenarios_absent_from_the_baseline() {
+        let baseline = doc(r#"{"name": "a", "p99_secs": 1.0}"#);
+        let run = doc(r#"{"name": "a", "p99_secs": 1.0}, {"name": "new", "p99_secs": 0.1}"#);
+        let diffs = diff(&baseline, &run).unwrap();
+        assert_eq!(
+            diffs,
+            [Diff {
+                scenario: Some("new".to_string()),
+                member: "name".to_string(),
+                baseline: None,
+                run: Some(Json::Str("new".to_string())),
+            }]
+        );
+        assert!(diffs[0].fails());
     }
 
     #[test]
     fn summary_table_shows_deltas_and_holes() {
-        let baseline = parse(
-            r#"{"scenarios": [
-                {"name": "a", "p99_secs": 1.0, "reconfigs": 10, "host_upload_bytes": 50000000000,
-                 "sim_events_per_sec": 450000},
-                {"name": "b", "p99_secs": 10.0, "victim_p99_secs": 0.8,
-                 "tenant_drops": {"victim": 0, "aggressor": 4000}},
-                {"name": "c", "p99_secs": 0.01, "hit_rate": 0.98,
-                 "recompute_secs_saved": 5000},
-                {"name": "d", "p99_secs": 1.0, "victim_goodput_p99_secs": 1.9,
-                 "wasted_secs": 2.5, "wasted_work_bytes": 0},
-                {"name": "gone", "p99_secs": 0.5}]}"#,
-        )
-        .unwrap();
-        let run = parse(
-            r#"{"scenarios": [
-                {"name": "a", "p99_secs": 1.1, "reconfigs": 12, "host_upload_bytes": 25000000000,
-                 "sim_events_per_sec": 520000},
-                {"name": "b", "p99_secs": 10.0, "victim_p99_secs": 1.6,
-                 "tenant_drops": {"victim": 5, "aggressor": 4000}},
-                {"name": "c", "p99_secs": 0.01, "hit_rate": 0.97,
-                 "recompute_secs_saved": 5100},
-                {"name": "d", "p99_secs": 1.0, "victim_goodput_p99_secs": 1.95,
-                 "wasted_secs": 2.6, "wasted_work_bytes": 1000000},
-                {"name": "new", "p99_secs": 0.2, "reconfigs": 3}]}"#,
-        )
-        .unwrap();
+        let baseline = doc(
+            r#"{"name": "a", "p99_secs": 1.0, "reconfigs": 10, "sim_events_per_sec": 450000},
+               {"name": "b", "p99_secs": 10.0, "tenant_drops": {"victim": 0, "aggressor": 4000}},
+               {"name": "gone", "p99_secs": 0.5}"#,
+        );
+        let run = doc(
+            r#"{"name": "a", "p99_secs": 1.1, "reconfigs": 10, "sim_events_per_sec": 420000},
+               {"name": "b", "p99_secs": 10.0, "tenant_drops": {"victim": 5, "aggressor": 4000}},
+               {"name": "new", "p99_secs": 0.2}"#,
+        );
         let table = render_summary_table(&baseline, &run).unwrap();
         assert!(table.starts_with("### Serving perf gate"), "{table}");
+        // schema, seed, a.reconfigs and b.p99_secs match; the 7 % slower
+        // sim speed differs but passes its floor.
         assert!(
-            table.contains(
-                "| `a` | 1000.0 → 1100.0 | +10.0% | 10 → 12 | 50.00 → 25.00 | -50.0% \
-                 | — → — | — | — → — | — → — | — → — | — | — → — | — → — | 450 → 520 |"
-            ),
+            table.contains("4 value(s) identical, 5 differ, 4 fail the gate."),
             "{table}"
         );
-        // The fairness metrics are readable per scenario — a victim-tail
-        // or per-tenant-drop regression must be visible in the summary,
-        // not only in the gate's stderr.
+        for row in [
+            "| `a` | `p99_secs` | `1` | `1.1` | +10.00% |",
+            "| `a` | `sim_events_per_sec` | `450000` | `420000` | -6.67% |",
+            r#"| `b` | `tenant_drops` | `{"aggressor":4000,"victim":0}` | `{"aggressor":4000,"victim":5}` | — |"#,
+            r#"| `gone` | `name` | `"gone"` | absent | — |"#,
+            r#"| `new` | `name` | absent | `"new"` | — |"#,
+        ] {
+            assert!(table.contains(row), "{row}\n{table}");
+        }
+        let same = render_summary_table(&baseline, &baseline).unwrap();
         assert!(
-            table.contains(
-                "| 800.0 → 1600.0 | +100.0% | — → — | — → — | — → — \
-                 | aggressor 4000→4000, victim 0→5 | — → — | — → — | — → — |"
-            ),
-            "{table}"
+            same.contains("8 value(s) identical, 0 differ, 0 fail the gate.")
+                && !same.contains('|'),
+            "{same}"
         );
-        // And so must the cache metrics (hit-rate rendered in percent).
-        assert!(
-            table.contains(
-                "| `c` | 10.0 → 10.0 | +0.0% | — → — | — → — | — | — → — | — \
-                 | — → — | — → — | — → — | — | 98.0 → 97.0 | 5000.0 → 5100.0 | — → — |"
-            ),
-            "{table}"
-        );
-        // And the deadline-lifecycle metrics (goodput tail in ms, waste
-        // in seconds and megabytes).
-        assert!(
-            table.contains(
-                "| `d` | 1000.0 → 1000.0 | +0.0% | — → — | — → — | — | — → — | — \
-                 | 1900.0 → 1950.0 | 2.50 → 2.60 | 0.00 → 1.00 | — | — → — | — → — | — → — |"
-            ),
-            "{table}"
-        );
-        assert!(table.contains("**missing from run**"), "{table}");
-        assert!(table.contains("**not in baseline** → 200.0"), "{table}");
         assert!(render_summary_table(&Json::Null, &run).is_err());
     }
 
     #[test]
-    fn gate_fails_when_the_goodput_tail_regresses() {
-        let row = |gp: f64| {
-            parse(&format!(
-                r#"{{"scenarios": [{{"name": "d", "p99_secs": 10.0,
-                    "victim_goodput_p99_secs": {gp}}}]}}"#
-            ))
-            .unwrap()
-        };
-        let baseline = row(1.6);
-        let ok = gate_p99(&baseline, &row(1.8), 0.20).unwrap();
-        assert!(ok.passed(), "{:?}", ok.failures);
-        // The overall (aggressor-dominated) p99 is identical, yet on-time
-        // victim service drifting toward the deadline must fail alone.
-        let bad = gate_p99(&baseline, &row(1.99), 0.20).unwrap();
-        assert!(!bad.passed());
-        assert!(
-            bad.failures[0].contains("victim goodput p99"),
-            "{:?}",
-            bad.failures
-        );
-        // A baseline without the member gates the overall p99 only.
-        let legacy = gate_p99(&doc(&[("d", 10.0)]), &row(9.0), 0.2).unwrap();
-        assert!(legacy.passed(), "{:?}", legacy.failures);
-    }
-
-    #[test]
-    fn gate_fails_when_the_waste_ledger_regresses() {
-        let row = |bytes: f64, secs: f64| {
-            parse(&format!(
-                r#"{{"scenarios": [{{"name": "d", "p99_secs": 1.0,
-                    "wasted_work_bytes": {bytes}, "wasted_secs": {secs}}}]}}"#
-            ))
-            .unwrap()
-        };
-        // A zero-byte baseline tolerates zero bytes: enforcement quietly
-        // starting to move dead bytes fails even at an identical tail.
-        let baseline = row(0.0, 2.5);
-        let ok = gate_p99(&baseline, &row(0.0, 2.9), 0.20).unwrap();
-        assert!(ok.passed(), "{:?}", ok.failures);
-        let leaking = gate_p99(&baseline, &row(1e6, 2.5), 0.20).unwrap();
-        assert!(!leaking.passed());
-        assert!(
-            leaking.failures[0].contains("wasted work"),
-            "{:?}",
-            leaking.failures
-        );
-        let burning = gate_p99(&baseline, &row(0.0, 4.0), 0.20).unwrap();
-        assert!(!burning.passed());
-        assert!(
-            burning.failures[0].contains("wasted board time"),
-            "{:?}",
-            burning.failures
-        );
-        // A baseline without the members gates the overall p99 only.
-        let legacy = gate_p99(&doc(&[("d", 1.0)]), &row(9e9, 900.0), 0.2).unwrap();
-        assert!(legacy.passed(), "{:?}", legacy.failures);
-    }
-
-    #[test]
-    fn gate_ignores_unknown_extra_keys_on_both_sides() {
-        // A new artifact carries metrics an old baseline has never heard
-        // of (and vice versa after a refresh); neither direction may
-        // fail the gate or perturb its verdict.
-        let old_baseline = parse(r#"{"scenarios": [{"name": "a", "p99_secs": 1.0}]}"#).unwrap();
-        let new_run = parse(
-            r#"{"schema": "agnn-bench-serving/v9", "future_field": {"nested": [1, 2]},
-                "scenarios": [{"name": "a", "p99_secs": 1.0, "reconfigs": 3,
-                               "pipeline_overlap_ratio": 0.57, "evictions": 5650,
-                               "stages": [{"stage": "ingest", "p99_secs": 0.128}]}]}"#,
-        )
-        .unwrap();
-        let outcome = gate_p99(&old_baseline, &new_run, 0.20).unwrap();
-        assert!(outcome.passed(), "{:?}", outcome.failures);
-        // And a future baseline with extra keys still gates an old run.
-        let reversed = gate_p99(&new_run, &old_baseline, 0.20).unwrap();
-        assert!(reversed.passed(), "{:?}", reversed.failures);
-    }
-
-    #[test]
     fn gate_rejects_documents_without_the_schema() {
-        assert!(gate_p99(&Json::Null, &Json::Null, 0.2).is_err());
-        let no_p99 = parse(r#"{"scenarios": [{"name": "a"}]}"#).unwrap();
-        assert!(gate_p99(&no_p99, &no_p99, 0.2).is_err());
+        let ok = doc(r#"{"name": "a"}"#);
+        for bad in [
+            Json::Null,
+            parse(r#"{"seed": 1}"#).unwrap(),
+            doc("1"),
+            doc(r#"{"p99_secs": 1.0}"#),
+            doc(r#"{"name": "a"}, {"name": "a"}"#),
+        ] {
+            assert!(diff(&ok, &bad).is_err(), "{bad}");
+            assert!(diff(&bad, &ok).is_err(), "{bad}");
+        }
     }
 }

@@ -55,10 +55,9 @@
 //! 9. `cache_replay` — the duplicate-heavy dashboard trace
 //!    ([`TenantSpec::replay_heavy`]) with the delta-invalidation cache
 //!    ([`CacheKind::delta`]) on two boards. The gate protects its p99 and
-//!    — inverted, like `sim_events_per_sec` but at the simulated-metric
-//!    tolerance — its **`hit_rate`** and **`recompute_secs_saved`**: a
-//!    cache that silently stops hitting keeps a fine tail on this light
-//!    trace, so the tail alone would hide the regression.
+//!    its **`hit_rate`** and **`recompute_secs_saved`**: a cache that
+//!    silently stops hitting keeps a fine tail on this light trace, so
+//!    the tail alone would hide the regression.
 //!
 //! The last scenario guards the deadline-aware request lifecycle
 //! (`ServeConfig::default_deadline_secs` / `TenantSpec::deadline_secs`):
@@ -81,16 +80,13 @@
 //! rows also carry the per-stage report, the pipeline-overlap ratio,
 //! eviction/migration counts, the switch/host byte split and the
 //! simulator's own `sim_wall_secs` / `sim_events_per_sec` — the only
-//! non-deterministic members, being host wall clock);
-//! [`crate::perfgate`] compares its `scenarios[].p99_secs`,
-//! `scenarios[].reconfigs`, `scenarios[].host_upload_bytes`,
-//! `scenarios[].victim_p99_secs`, `scenarios[].victim_goodput_p99_secs`,
-//! `scenarios[].wasted_work_bytes`, `scenarios[].wasted_secs`,
-//! `scenarios[].tenant_drops`,
-//! (inverted, at the caller's tolerance) `scenarios[].hit_rate` and
-//! `scenarios[].recompute_secs_saved`, and (inverted, at a generous
-//! tolerance) `scenarios[].sim_events_per_sec` against the checked-in
-//! baseline and ignores keys it does not know.
+//! non-deterministic members, being host wall clock).
+//! [`render_baseline_json`] emits the gated subset, and
+//! [`crate::perfgate::diff`] compares it with the checked-in baseline
+//! value by value: every member must match exactly, except the
+//! host-wall-clock `sim_events_per_sec`, which must only stay above its
+//! floor. `checked_in_baseline_matches_the_sweep` below runs that
+//! comparison on every `cargo test`.
 //! [`perfetto_trace`] replays one named case with a
 //! [`ChromeTraceWriter`] attached for the `--trace-out` flag.
 
@@ -625,17 +621,19 @@ pub fn render_json(scenarios: &[Scenario]) -> String {
 /// `recompute_secs_saved` on scenarios with the result cache enabled) —
 /// the compact form checked in as the baseline.
 ///
-/// `sim_events_per_sec` is the one member measured in *host* wall clock:
-/// the checked-in value captures the writer's machine, the gate compares
-/// at the generous [`crate::perfgate::SIM_SPEED_TOLERANCE`], and the CI
-/// stale-baseline guard filters the member out before diffing (it can
-/// never be byte-reproduced on another host). Rows below
-/// [`SPEED_GATE_MIN_EVENTS`] simulated events omit the member entirely
-/// (the gate skips what the baseline doesn't record): a `grid_sweep`
-/// cell finishes in well under a millisecond, so its events-per-second
-/// is timer noise, not a measurement — the speed gate rides the deep
-/// sweep rows only. The event count is seed-deterministic, so which
-/// rows carry the member never varies between hosts or job counts.
+/// This is the one place that decides which members are gated:
+/// [`crate::perfgate::diff`] compares every member written here, and a
+/// member present on one side only fails. Every member is compared
+/// exactly except `sim_events_per_sec`, the one measured in *host* wall
+/// clock: the checked-in value captures the writer's machine, so the gate
+/// fails it only below its floor,
+/// [`crate::perfgate::SIM_SPEED_TOLERANCE`] under the baseline. Rows below
+/// [`SPEED_GATE_MIN_EVENTS`] simulated events omit the member: a
+/// `grid_sweep` cell finishes in well under a millisecond, so its
+/// events-per-second is timer noise, not a measurement — the speed floor
+/// rides the deep sweep rows only. The event count is seed-deterministic,
+/// so which rows carry the member never varies between hosts or job
+/// counts.
 pub fn render_baseline_json(scenarios: &[Scenario]) -> String {
     let rows: Vec<String> = scenarios
         .iter()
@@ -752,9 +750,32 @@ mod tests {
             Some(10)
         );
         let baseline = perfgate::parse(&render_baseline_json(&a)).expect("baseline parses");
-        // A run always passes the gate against its own baseline.
-        let outcome = perfgate::gate_p99(&baseline, &doc, 0.20).unwrap();
-        assert!(outcome.passed(), "{:?}", outcome.failures);
+        let rerun = perfgate::parse(&render_baseline_json(&b)).expect("baseline parses");
+        assert_eq!(perfgate::diff(&baseline, &rerun).unwrap(), []);
+    }
+
+    /// The checked-in baseline is fresh: the sweep reproduces every
+    /// simulated value in it exactly, so a change to anything the gated
+    /// numbers depend on must refresh it in the same PR. Only the
+    /// host-wall-clock member may differ (this build and host are not the
+    /// writer's).
+    #[test]
+    fn checked_in_baseline_matches_the_sweep() {
+        let checked_in = include_str!("../../../ci/bench_serving_baseline.json");
+        let baseline = perfgate::parse(checked_in).expect("checked-in baseline parses");
+        let run = perfgate::parse(&render_baseline_json(&run_all_jobs(1)))
+            .expect("sweep baseline parses");
+        let stale: Vec<_> = perfgate::diff(&baseline, &run)
+            .unwrap()
+            .into_iter()
+            .filter(|d| d.member != perfgate::SIM_SPEED_MEMBER)
+            .collect();
+        assert!(
+            stale.is_empty(),
+            "stale ci/bench_serving_baseline.json — refresh it with \
+             `cargo run --release -p agnn-bench --bin bench_smoke -- \
+             --write-baseline ci/bench_serving_baseline.json`: {stale:#?}"
+        );
     }
 
     /// The `--trace-out` path: replaying a sweep case with the Chrome
@@ -1108,10 +1129,10 @@ mod tests {
         let digests: std::collections::BTreeSet<u64> =
             grid.iter().map(|s| s.report.trace_digest).collect();
         assert!(digests.len() > 6, "cells collapsed: {digests:?}");
-        let doc = perfgate::parse(&render_json(&grid)).expect("grid artifact parses");
+        perfgate::parse(&render_json(&grid)).expect("grid artifact parses");
         let baseline = perfgate::parse(&render_baseline_json(&grid)).expect("grid baseline parses");
-        let outcome = perfgate::gate_p99(&baseline, &doc, 0.20).unwrap();
-        assert!(outcome.passed(), "{:?}", outcome.failures);
+        let rerun = perfgate::parse(&render_baseline_json(&again)).expect("grid baseline parses");
+        assert_eq!(perfgate::diff(&baseline, &rerun).unwrap(), []);
     }
 
     /// The timing table carries one row per scenario in batch order.
