@@ -22,41 +22,38 @@
 pub fn radix_sort_u64(keys: &mut Vec<u64>) {
     const BITS_PER_PASS: u32 = 8;
     const BUCKETS: usize = 1 << BITS_PER_PASS;
+    const DIGITS: usize = (u64::BITS / BITS_PER_PASS) as usize;
     if keys.len() <= 1 {
         return;
     }
-    let max = keys.iter().copied().max().expect("non-empty");
-    let significant_bits = 64 - max.leading_zeros();
-    let passes = significant_bits.div_ceil(BITS_PER_PASS);
-    let mut scratch = vec![0u64; keys.len()];
-    for pass in 0..passes {
-        let shift = pass * BITS_PER_PASS;
-        let mut histogram = [0u32; BUCKETS];
-        for &k in keys.iter() {
-            histogram[((k >> shift) as usize) & (BUCKETS - 1)] += 1;
+    // Every digit's histogram in one read pass; a digit whose keys all land
+    // in one bucket would leave the order unchanged, so its pass is skipped.
+    let mut histograms = [[0usize; BUCKETS]; DIGITS];
+    for &k in keys.iter() {
+        for (digit, histogram) in histograms.iter_mut().enumerate() {
+            histogram[((k >> (digit as u32 * BITS_PER_PASS)) as usize) & (BUCKETS - 1)] += 1;
         }
-        let mut offsets = [0u32; BUCKETS];
-        let mut acc = 0u32;
-        for b in 0..BUCKETS {
-            offsets[b] = acc;
-            acc += histogram[b];
+    }
+    let mut scratch = Vec::new();
+    for (digit, histogram) in histograms.iter().enumerate() {
+        if histogram.contains(&keys.len()) {
+            continue;
         }
+        let shift = digit as u32 * BITS_PER_PASS;
+        let mut offsets = [0usize; BUCKETS];
+        let mut acc = 0;
+        for (offset, &count) in offsets.iter_mut().zip(histogram) {
+            *offset = acc;
+            acc += count;
+        }
+        scratch.resize(keys.len(), 0);
         for &k in keys.iter() {
             let bucket = ((k >> shift) as usize) & (BUCKETS - 1);
-            scratch[offsets[bucket] as usize] = k;
+            scratch[offsets[bucket]] = k;
             offsets[bucket] += 1;
         }
         std::mem::swap(keys, &mut scratch);
     }
-}
-
-/// Number of radix passes the sort performs for keys up to `max_key`
-/// (used by the timing models).
-pub fn radix_pass_count(max_key: u64) -> u32 {
-    if max_key == 0 {
-        return 0;
-    }
-    (64 - max_key.leading_zeros()).div_ceil(8)
 }
 
 /// Merges two sorted slices into one sorted vector (stable: ties take from
@@ -138,14 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn pass_count_scales_with_key_width() {
-        assert_eq!(radix_pass_count(0), 0);
-        assert_eq!(radix_pass_count(0xff), 1);
-        assert_eq!(radix_pass_count(0x100), 2);
-        assert_eq!(radix_pass_count(u64::MAX), 8);
-    }
-
-    #[test]
     fn merge_with_empty_sides() {
         assert_eq!(merge_sorted(&[], &[1, 2]), vec![1, 2]);
         assert_eq!(merge_sorted(&[1, 2], &[]), vec![1, 2]);
@@ -180,6 +169,27 @@ mod tests {
             expected.sort_unstable();
             radix_sort_u64(&mut v);
             prop_assert_eq!(v, expected);
+        }
+
+        #[test]
+        fn prop_radix_sorts_keys_with_constant_digits(
+            pairs in proptest::collection::vec((0u64..600, 0u64..600), 0..500),
+            low_byte in 0u64..256,
+        ) {
+            // Edge keys `(dst << 32) | src` over VIDs below 600 leave digits
+            // 2, 3, 6 and 7 constant; a shared low byte makes digit 0
+            // constant while the digits above it vary.
+            let edge_keys: Vec<u64> = pairs.iter().map(|&(dst, src)| (dst << 32) | src).collect();
+            let low_constant: Vec<u64> = edge_keys
+                .iter()
+                .map(|&k| (k << 8) | low_byte)
+                .collect();
+            for mut keys in [edge_keys, low_constant] {
+                let mut expected = keys.clone();
+                expected.sort_unstable();
+                radix_sort_u64(&mut keys);
+                prop_assert_eq!(keys, expected);
+            }
         }
 
         #[test]

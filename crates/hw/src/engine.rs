@@ -181,15 +181,14 @@ impl AutoGnnEngine {
 
         // 3. Uni-random selection (UPE kernel, Fig. 16). The trace is the
         // shared functional specification; the kernel replays it for cycle
-        // accounting (and network verification in structural fidelity).
+        // accounting (and, in structural fidelity only, rebuilds each pool
+        // to verify the extraction network).
         let mut rng = StdRng::seed_from_u64(seed);
         let trace = agnn_algo::pipeline::sample(&csc, batch, params, &mut rng);
         for layer in &trace.layers {
-            let pool_values: Vec<Vec<u64>> = layer
-                .iter()
-                .map(|record| pool_contents(&csc, params.strategy, &record.parents))
-                .collect();
-            let select_run = self.upe_kernel.select_layer(layer, &pool_values);
+            let select_run = self.upe_kernel.select_layer(layer, |record| {
+                pool_contents(&csc, params.strategy, &record.parents)
+            });
             cycles.selecting += select_run.cycles;
             upe_passes += select_run.upe_passes;
         }

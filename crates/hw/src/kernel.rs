@@ -15,6 +15,12 @@
 //!   result against the software model) — used by the verification tests;
 //! - [`Fidelity::Fast`] computes the same result with plain software
 //!   operations — used for large experiment sweeps.
+//!
+//! Cycle accounting is one code path for both fidelities; only the
+//! datapath checks differ. Edge ordering prices its merge rounds from run
+//! lengths alone (see [`UpeKernel::sort_edges`]) and, in either fidelity,
+//! produces its output with one sort of the key array; the structural
+//! fidelity additionally sends every chunk through the UPE's radix network.
 
 use agnn_algo::pipeline::PoolRecord;
 use agnn_algo::reindex::ReindexResult;
@@ -78,6 +84,11 @@ pub fn schedule_makespan(job_cycles: impl IntoIterator<Item = u64>, workers: usi
     free_at.into_iter().max().unwrap_or(0)
 }
 
+/// Bits up to and including the highest set bit of the largest key.
+fn significant_bits(keys: &[u64]) -> u32 {
+    keys.iter().max().map_or(0, |max| 64 - max.leading_zeros())
+}
+
 /// The UPE kernel: `config.count` UPEs of `config.width` behind a scoreboard
 /// scheduler.
 #[derive(Debug, Clone)]
@@ -113,94 +124,78 @@ impl UpeKernel {
     ///
     /// Cycle accounting:
     /// - chunk sort: `ceil(significant_bits / RADIX_STAGES_PER_CYCLE)`
-    ///   cycles per chunk, scheduled across UPEs;
+    ///   cycles per chunk, scheduled across UPEs; each chunk of two or more
+    ///   keys issues one zero-pass and one one-pass per significant bit of
+    ///   its largest key;
     /// - each merge round: jobs emit `width/2` elements per cycle per UPE
     ///   (Table I's merge rate), scheduled across UPEs with a barrier
     ///   between rounds (the controller synchronizes rounds).
+    ///
+    /// A merge job's cost depends only on the lengths of its two runs, and
+    /// those follow from the edge count and `width`: every chunk is full
+    /// except the last, and each round sums adjacent pairs and carries an
+    /// odd run. The merge rounds are therefore priced from run lengths
+    /// alone, and the sorted output — which any correct merge tree yields —
+    /// comes from one radix sort of the whole key array.
     pub fn sort_edges(&self, edges: &[Edge]) -> SortRun {
         let width = self.config.width;
-        let keys: Vec<u64> = edges.iter().map(|e| e.sort_key()).collect();
-        let significant_bits = keys
-            .iter()
-            .copied()
-            .max()
-            .map_or(0, |max| 64 - max.leading_zeros());
-        let chunk_sort_cycles = u64::from(significant_bits.div_ceil(RADIX_STAGES_PER_CYCLE));
+        let mut keys: Vec<u64> = edges.iter().map(|e| e.sort_key()).collect();
+        let chunk_sort_cycles = u64::from(significant_bits(&keys).div_ceil(RADIX_STAGES_PER_CYCLE));
 
-        // Phase 1: split + per-chunk radix sort.
-        let mut runs: Vec<Vec<u64>> = Vec::with_capacity(keys.len().div_ceil(width).max(1));
+        // Phase 1: split + per-chunk radix sort, one job per chunk. A chunk
+        // takes one partition pass per significant bit of its largest key;
+        // a single key takes none.
         let mut upe_passes = 0u64;
-        for chunk in keys.chunks(width.max(1)) {
-            let sorted = match self.fidelity {
-                Fidelity::Structural => {
-                    let (sorted, passes) = self.upe.radix_sort_chunk(chunk);
-                    upe_passes += passes * 2; // zero-pass + one-pass per bit
-                    let mut expected = chunk.to_vec();
-                    expected.sort_unstable();
-                    assert_eq!(sorted, expected, "UPE chunk sort diverged");
-                    sorted
-                }
-                Fidelity::Fast => {
-                    // Mirror the structural pass count: one zero-pass and one
-                    // one-pass per significant bit of the chunk's max key.
-                    if chunk.len() > 1 {
-                        let chunk_bits = chunk
-                            .iter()
-                            .copied()
-                            .max()
-                            .map_or(0, |max| 64 - max.leading_zeros());
-                        upe_passes += 2 * u64::from(chunk_bits);
-                    }
-                    let mut sorted = chunk.to_vec();
-                    sorted.sort_unstable();
-                    sorted
-                }
+        for chunk in keys.chunks(width) {
+            let bit_passes = if chunk.len() > 1 {
+                u64::from(significant_bits(chunk))
+            } else {
+                0
             };
-            runs.push(sorted);
+            if self.fidelity == Fidelity::Structural {
+                let (sorted, passes) = self.upe.radix_sort_chunk(chunk);
+                let mut expected = chunk.to_vec();
+                expected.sort_unstable();
+                assert_eq!(sorted, expected, "UPE chunk sort diverged");
+                assert_eq!(passes, bit_passes, "UPE chunk pass count diverged");
+            }
+            upe_passes += 2 * bit_passes; // zero-pass + one-pass per bit
         }
-        let mut cycles =
-            schedule_makespan(runs.iter().map(|_| chunk_sort_cycles), self.config.count);
+        let chunks = keys.len().div_ceil(width);
+        let mut cycles = schedule_makespan(
+            std::iter::repeat_n(chunk_sort_cycles, chunks),
+            self.config.count,
+        );
 
         // Phase 2: merge rounds (Fig. 15 "merging"; Algorithm 1 rate w/2
         // elements per cycle per UPE). While a round has at least as many
         // merge jobs as UPEs, rounds execute back to back with full
         // parallelism; once jobs drop below the UPE count, the controller
         // chains the remaining merge tree as a pipelined cascade whose
-        // throughput is the root merger's w/2 elements per cycle.
+        // throughput is the root merger's w/2 elements per cycle. Job
+        // counts only shrink, so the cascade is charged once.
         let half = (width / 2).max(1) as u64;
         let total_elements = keys.len() as u64;
-        let mut cascade_charged = false;
-        while runs.len() > 1 {
-            let job_count = runs.len() / 2;
-            let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-            let mut job_cycles = Vec::new();
-            let mut iter = runs.into_iter();
-            while let Some(a) = iter.next() {
-                match iter.next() {
-                    Some(b) => {
-                        job_cycles.push(((a.len() + b.len()) as u64).div_ceil(half));
-                        next.push(agnn_algo::sort::merge_sorted(&a, &b));
-                    }
-                    None => next.push(a),
-                }
-            }
-            if job_count >= self.config.count {
-                cycles += schedule_makespan(job_cycles, self.config.count);
-            } else if !cascade_charged {
-                cycles += total_elements.div_ceil(half);
-                cascade_charged = true;
-            }
-            runs = next;
+        let mut run_lengths: Vec<u64> = (0..chunks as u64)
+            .map(|chunk| (total_elements - chunk * width as u64).min(width as u64))
+            .collect();
+        while run_lengths.len() / 2 >= self.config.count {
+            let jobs = run_lengths
+                .chunks_exact(2)
+                .map(|pair| (pair[0] + pair[1]).div_ceil(half));
+            cycles += schedule_makespan(jobs, self.config.count);
+            run_lengths = run_lengths
+                .chunks(2)
+                .map(|runs| runs.iter().sum())
+                .collect();
+        }
+        if run_lengths.len() > 1 {
+            cycles += total_elements.div_ceil(half);
         }
 
-        let sorted = runs
-            .pop()
-            .unwrap_or_default()
-            .into_iter()
-            .map(Edge::from_sort_key)
-            .collect();
+        agnn_algo::sort::radix_sort_u64(&mut keys);
         SortRun {
-            sorted,
+            sorted: keys.into_iter().map(Edge::from_sort_key).collect(),
             cycles,
             upe_passes,
         }
@@ -212,18 +207,34 @@ impl UpeKernel {
     /// extracts the sampled neighborhood; jobs are scheduled across UPEs.
     ///
     /// In [`Fidelity::Structural`] every recorded draw is replayed through
-    /// the one-hot extraction network against the actual pool contents.
-    pub fn select_layer(&self, pools: &[PoolRecord], pool_values: &[Vec<u64>]) -> SelectRun {
+    /// the one-hot extraction network against the actual pool contents,
+    /// which `pool_values` rebuilds for one record; [`Fidelity::Fast`] never
+    /// calls it.
+    ///
+    /// # Panics
+    ///
+    /// In [`Fidelity::Structural`], panics if a rebuilt pool's length
+    /// differs from its record's `pool_len`.
+    pub fn select_layer(
+        &self,
+        pools: &[PoolRecord],
+        pool_values: impl Fn(&PoolRecord) -> Vec<u64>,
+    ) -> SelectRun {
         let width = self.config.width as u64;
         let mut upe_passes = 0u64;
         let mut job_cycles = Vec::with_capacity(pools.len());
-        for (record, values) in pools.iter().zip(pool_values) {
-            debug_assert_eq!(record.pool_len as usize, values.len());
+        for record in pools {
             let draws = record.positions.len() as u64;
             let final_extract = u64::from(record.pool_len).div_ceil(width).max(1);
             job_cycles.push(draws + final_extract);
             upe_passes += draws + final_extract;
             if self.fidelity == Fidelity::Structural {
+                let values = pool_values(record);
+                assert_eq!(
+                    record.pool_len as usize,
+                    values.len(),
+                    "pool contents disagree with the record's pool_len"
+                );
                 for &position in &record.positions {
                     // Chunk the pool to the UPE width and extract within the
                     // chunk holding the drawn position.
@@ -497,6 +508,7 @@ mod tests {
     use agnn_algo::reindex::reindex_hashmap;
     use agnn_algo::reshape::pointer_array_sequential;
     use agnn_graph::generate;
+    use proptest::prelude::*;
 
     fn upe_kernel(count: usize, width: usize, fidelity: Fidelity) -> UpeKernel {
         UpeKernel::with_fidelity(UpeConfig::new(count, width), fidelity)
@@ -537,6 +549,88 @@ mod tests {
         assert_eq!(fast.sorted, structural.sorted);
     }
 
+    /// Deterministic edges with non-zero keys whose magnitude varies from
+    /// chunk to chunk.
+    fn pin_edges(n: usize) -> Vec<Edge> {
+        (0..n)
+            .map(|i| {
+                Edge::new(
+                    Vid((i * 37 % 101) as u32 + 1),
+                    Vid((i * 13 % 67) as u32 + 1),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sort_accounting_matches_the_pinned_merge_tree() {
+        // (count, width, edges, cycles, upe_passes), captured from the
+        // kernel that merged every run in memory. The rows cover edge
+        // counts 0, 1, width - 1, width and width + 1 at widths 2, 16 and
+        // 64; then an odd chunk count (99 edges, 7 chunks); a tree whose
+        // rounds drop below the UPE count mid-way, charging the cascade
+        // (512 edges, 32 chunks, 4 UPEs); a single UPE, which never
+        // cascades; and a cascade charged in the first round (32 UPEs).
+        const PINNED: [(usize, usize, usize, u64, u64); 22] = [
+            (2, 2, 0, 0, 0),
+            (2, 2, 1, 3, 0),
+            (2, 2, 2, 3, 72),
+            (2, 2, 3, 6, 72),
+            (4, 16, 0, 0, 0),
+            (4, 16, 1, 3, 0),
+            (4, 16, 15, 3, 78),
+            (4, 16, 16, 3, 78),
+            (4, 16, 17, 6, 78),
+            (8, 64, 0, 0, 0),
+            (8, 64, 1, 3, 0),
+            (8, 64, 63, 3, 78),
+            (8, 64, 64, 3, 78),
+            (8, 64, 65, 6, 78),
+            (4, 16, 99, 19, 538),
+            (4, 16, 512, 136, 2470),
+            (1, 16, 200, 137, 1002),
+            (1, 2, 9, 40, 300),
+            (3, 2, 37, 86, 1360),
+            (8, 64, 5000, 263, 6162),
+            (32, 16, 100, 16, 538),
+            (2, 64, 4096, 544, 4992),
+        ];
+        for (count, width, n, cycles, upe_passes) in PINNED {
+            let edges = pin_edges(n);
+            let expected = order_edges_std(&edges);
+            for fidelity in [Fidelity::Fast, Fidelity::Structural] {
+                let run = upe_kernel(count, width, fidelity).sort_edges(&edges);
+                let cell = (count, width, n, fidelity);
+                assert_eq!(
+                    (run.cycles, run.upe_passes),
+                    (cycles, upe_passes),
+                    "{cell:?}"
+                );
+                assert_eq!(run.sorted, expected, "{cell:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_fidelities_agree_on_sort_runs(
+            count in 1usize..12,
+            width_log2 in 1u32..7,
+            vertices in 1usize..80,
+            raw in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..300),
+        ) {
+            let edges: Vec<Edge> = raw
+                .iter()
+                .map(|&(s, d)| Edge::new(Vid(s % vertices as u32), Vid(d % vertices as u32)))
+                .collect();
+            let width = 1 << width_log2;
+            let fast = upe_kernel(count, width, Fidelity::Fast).sort_edges(&edges);
+            let structural = upe_kernel(count, width, Fidelity::Structural).sort_edges(&edges);
+            prop_assert_eq!(&fast.sorted, &order_edges_std(&edges));
+            prop_assert_eq!(fast, structural);
+        }
+    }
+
     #[test]
     fn sort_empty_and_single() {
         let kernel = upe_kernel(2, 8, Fidelity::Structural);
@@ -575,9 +669,9 @@ mod tests {
                 positions: vec![1],
             },
         ];
-        let values = vec![vec![10, 11, 12, 13, 14], vec![20, 21, 22]];
+        let values = [vec![10, 11, 12, 13, 14], vec![20, 21, 22]];
         let kernel = upe_kernel(1, 8, Fidelity::Structural);
-        let run = kernel.select_layer(&pools, &values);
+        let run = kernel.select_layer(&pools, |record| values[record.parents[0].index()].clone());
         // Pool 1: 3 draws + 1 extraction; pool 2: 1 draw + 1 extraction.
         assert_eq!(run.cycles, 6);
         assert_eq!(run.upe_passes, 6);
@@ -592,9 +686,9 @@ mod tests {
                 positions: vec![0, 1],
             })
             .collect();
-        let values: Vec<Vec<u64>> = (0..8).map(|_| vec![1, 2, 3, 4]).collect();
-        let serial = upe_kernel(1, 8, Fidelity::Fast).select_layer(&pools, &values);
-        let parallel = upe_kernel(8, 8, Fidelity::Fast).select_layer(&pools, &values);
+        let values = |_: &PoolRecord| -> Vec<u64> { unreachable!("fast fidelity rebuilt a pool") };
+        let serial = upe_kernel(1, 8, Fidelity::Fast).select_layer(&pools, values);
+        let parallel = upe_kernel(8, 8, Fidelity::Fast).select_layer(&pools, values);
         assert_eq!(serial.cycles, 8 * 3);
         assert_eq!(parallel.cycles, 3);
     }
