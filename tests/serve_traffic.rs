@@ -1792,3 +1792,69 @@ fn coalescing_preserves_the_served_multiset_under_drops() {
         "the 4-deep queue must drop under this load"
     );
 }
+
+/// SLO gating and latency hedging together — the one configuration where
+/// the reconfiguration gate and the hedge trigger both read the
+/// per-tenant latency predictor in the same run. Values captured from the
+/// simulator before the scheduler became one concrete type; any drift in
+/// either consumer's predictions moves the digest. Serial dispatch on two
+/// tenant-affine boards over the drift-heavy mix, with the fabric slowed
+/// so queues build: the first row keeps every tenant inside its budget
+/// after warm-up (the gate stays shut while waits outrun the tail and
+/// hedge), the second overloads the pool so the gate keeps reopening.
+#[test]
+fn slo_gate_and_hedging_share_one_predictor_golden() {
+    struct Golden {
+        policy: DispatchPolicy,
+        compute_speedup: f64,
+        digest: u64,
+        reconfigs: u64,
+        hedges: u64,
+    }
+    let goldens = [
+        Golden {
+            policy: DispatchPolicy::reconfig_aware(),
+            compute_speedup: 0.15,
+            digest: 0xA4F4_9E0B_CA58_7863,
+            reconfigs: 3,
+            hedges: 16,
+        },
+        Golden {
+            policy: DispatchPolicy::Fifo,
+            compute_speedup: 0.08,
+            digest: 0x736B_04CB_3713_0511,
+            reconfigs: 474,
+            hedges: 2,
+        },
+    ];
+    for g in goldens {
+        let config = |scheduler| {
+            ServeConfig::builder()
+                .seed(7)
+                .total_requests(6_000)
+                .queue_capacity(512)
+                .boards(2)
+                .overlap(false)
+                .compute_speedup(g.compute_speedup)
+                .policy(g.policy)
+                .placement(PlacementPolicy::TenantAffine)
+                .scheduler(scheduler)
+                .hedge(HedgeKind::latency())
+                .build()
+                .unwrap()
+        };
+        let gated = simulate(drift_heavy_tenants(), config(SchedKind::slo_aware()));
+        let ungated = simulate(drift_heavy_tenants(), config(SchedKind::Fifo));
+        let label = format!("{:?}/speedup {}", g.policy, g.compute_speedup);
+        assert_eq!(gated.trace_digest, g.digest, "{label}: digest");
+        assert_eq!(gated.reconfigs, g.reconfigs, "{label}: reconfigs");
+        assert_eq!(gated.hedges(), g.hedges, "{label}: hedges");
+        assert!(gated.hedges() > 0, "{label}: the hedge trigger must fire");
+        assert!(
+            gated.reconfigs < ungated.reconfigs,
+            "{label}: the gate must withhold reconfigurations: {} vs {}",
+            gated.reconfigs,
+            ungated.reconfigs
+        );
+    }
+}
