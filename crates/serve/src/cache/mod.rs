@@ -7,7 +7,7 @@
 //! graph snapshot, same sampling parameters, same batch — so the
 //! preprocessing work (and for a warm graph, the whole board visit) can
 //! be reused. This module turns that static per-request pricing into an
-//! online recompute-vs-reuse decision at the scheduler seam:
+//! online recompute-vs-reuse decision around the scheduler:
 //!
 //! - **Key.** A cached result is keyed on request identity — `(tenant,
 //!   workload drift bucket, deployment seed)`. The simulator runs one
@@ -40,7 +40,7 @@
 //!
 //! The cache is wired into [`crate::sim`] at three points: admission
 //! (full hit / coalesce, before the request ever reaches
-//! [`crate::sched::SchedPolicy::admit`]), dispatch (partial-hit
+//! [`crate::sched::Scheduler::admit`]), dispatch (partial-hit
 //! classification) and completion (entry fill + waiter drain). Counters
 //! surface in [`crate::metrics::TrafficReport::cache`] and per tenant in
 //! [`crate::metrics::TenantStats`].

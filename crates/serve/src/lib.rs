@@ -22,15 +22,16 @@
 //!   rehydrate from a peer still holding their graph instead of
 //!   re-crossing the host link, and hot tenants split onto idle boards
 //!   once their affine board's queue outgrows a threshold;
-//! - [`sched`] — the pluggable admission/dispatch scheduler: a
-//!   [`sched::SchedPolicy`] trait owning enqueue/drop/pick and
-//!   reconfiguration-gating decisions, with [`sched::Fifo`] (the bounded
-//!   arrival-order queue, bit-for-bit the pre-refactor schedules — every
-//!   golden digest holds), [`sched::WeightedFair`] (deficit round robin
-//!   over per-tenant queues with [`tenant::TenantSpec::weight`] shares
-//!   and per-tenant quotas, so one bursty aggressor can no longer starve
-//!   the other tenants) and [`sched::SloAware`] (a per-tenant latency
-//!   EWMA gates bitstream reconfiguration on predicted p99 vs the
+//! - [`sched`] — the admission/dispatch scheduler: one concrete
+//!   [`sched::Scheduler`] owning enqueue/drop/pick and
+//!   reconfiguration-gating decisions. Its queue is [`sched::Fifo`] (the
+//!   bounded arrival-order queue, bit-for-bit the pre-refactor schedules
+//!   — every golden digest holds) or [`sched::WeightedFair`] (deficit
+//!   round robin over per-tenant queues with
+//!   [`tenant::TenantSpec::weight`] shares and per-tenant quotas, so one
+//!   bursty aggressor can no longer starve the other tenants); the
+//!   SLO-aware kind adds a [`sched::SloGate`] (the run's per-tenant
+//!   latency EWMA gates bitstream reconfiguration on predicted p99 vs the
 //!   tenant's SLO budget — stalls nobody's tail needs stop being paid);
 //! - [`engine`] — the simulation mechanics: a calendar-queue
 //!   [`engine::EventQueue`] (O(1) push/pop at serving densities,
@@ -163,7 +164,7 @@ pub use metrics::{
 };
 pub use par::{default_jobs, par_map, par_runs};
 pub use pool::{BoardPool, MigratePolicy, MigrationTransfer, PlacementPolicy};
-pub use sched::{LatencyPredictor, SchedKind, SchedPolicy, Scheduler};
+pub use sched::{LatencyPredictor, SchedKind};
 pub use sim::{
     simulate, ConfigError, DispatchPolicy, HedgeKind, ServeConfig, ServeConfigBuilder, TrafficSim,
 };

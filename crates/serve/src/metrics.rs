@@ -636,7 +636,7 @@ pub struct TrafficReport {
     pub reconfig_secs: f64,
     /// Queue-depth timeline. The depth recorded at each transition is the
     /// **aggregate** number of queued requests across the scheduler's
-    /// admission queues ([`crate::sched::SchedPolicy::len`]): one shared
+    /// admission queues ([`crate::sched::Scheduler::len`]): one shared
     /// pool-wide queue under [`crate::sched::Fifo`], the sum over the
     /// per-tenant queues under [`crate::sched::WeightedFair`] — there is
     /// no single shared queue there, so only the aggregate is meaningful

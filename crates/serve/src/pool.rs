@@ -26,8 +26,8 @@
 //! full re-upload — which is exactly the recurring ingest traffic that
 //! staged pipelining hides behind fabric compute.
 //!
-//! The admission queue — owned by the pluggable scheduler
-//! ([`crate::sched::SchedPolicy`]), which decides admission, offer order
+//! The admission queue — owned by the scheduler
+//! ([`crate::sched::Scheduler`]), which decides admission, offer order
 //! and reconfiguration gating — feeds the pool through a pluggable
 //! [`PlacementPolicy`]. Placement scans the scheduler's offer order, so a
 //! fair-queueing scheduler's preference arrives here as a hint: the same

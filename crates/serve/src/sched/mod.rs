@@ -1,50 +1,53 @@
-//! The pluggable admission/dispatch scheduler.
+//! The admission/dispatch scheduler.
 //!
 //! PR 1–4 baked the admission queue into the simulator as a single
 //! FIFO-bounded `VecDeque`: one bursty tenant could fill the shared queue
 //! and starve everyone else, and every dispatch paid whatever
 //! reconfiguration the cost model asked for. This module extracts that
-//! core into a [`SchedPolicy`] trait owning the three decisions the event
-//! loop delegates:
+//! core into one concrete [`Scheduler`] owning the three decisions the
+//! event loop delegates:
 //!
-//! - **enqueue/drop** ([`SchedPolicy::admit`]) — whether an arriving
+//! - **enqueue/drop** ([`Scheduler::admit`]) — whether an arriving
 //!   request is queued or refused (per-tenant quotas live here);
-//! - **pick order** ([`SchedPolicy::scan`] / [`SchedPolicy::take`]) — the
+//! - **pick order** ([`Scheduler::scan`] / [`Scheduler::take`]) — the
 //!   order in which queued requests are offered to placement/dispatch;
-//! - **reconfiguration gating** ([`SchedPolicy::allow_reconfig`]) —
+//! - **reconfiguration gating** ([`Scheduler::allow_reconfig`]) —
 //!   whether a dispatch may pay an ICAP stall right now.
 //!
-//! Three policies implement it:
+//! A scheduler is a queue plus an optional gate. The queue is one of:
 //!
 //! - [`queue::Fifo`] — the pre-refactor scheduler, **bit-for-bit**: one
-//!   bounded queue in arrival order, drop on overflow, reconfigure
-//!   whenever the cost model clears its gain threshold. Every golden
-//!   trace digest pinned in `tests/serve_traffic.rs` is reproduced
-//!   exactly (the *Fifo-equivalence invariant* — see below).
+//!   bounded queue in arrival order, drop on overflow. Every golden trace
+//!   digest pinned in `tests/serve_traffic.rs` is reproduced exactly (the
+//!   *Fifo-equivalence invariant* — see below).
 //! - [`wfq::WeightedFair`] — deficit-round-robin over per-tenant queues
 //!   with per-tenant weights ([`crate::tenant::TenantSpec::weight`]) and
 //!   a per-tenant quota, under a bounded aggregate depth. A bursty
 //!   aggressor can only ever occupy its quota and its weight's share of
 //!   service; victims keep their latency.
-//! - [`slo::SloAware`] — FIFO order plus a per-tenant latency EWMA: a
-//!   dispatch may only trigger a bitstream reconfiguration when the
-//!   tenant's predicted p99 (EWMA mean + z·stddev, queueing included)
-//!   exceeds its SLO budget, so steady within-budget traffic stops paying
-//!   ICAP stalls.
+//!
+//! [`SchedKind::SloAware`] is a `Fifo` queue plus an [`slo::SloGate`]: a
+//! dispatch may only trigger a bitstream reconfiguration when the
+//! tenant's predicted p99 (EWMA mean + z·stddev, queueing included)
+//! exceeds its SLO budget, so steady within-budget traffic stops paying
+//! ICAP stalls. The gate holds only the budgets; the prediction is the
+//! run's one [`LatencyPredictor`], which the hedge trigger reads too.
+//! The other kinds carry no gate and never withhold a reconfiguration.
 //!
 //! # The Fifo-equivalence invariant
 //!
 //! [`SchedKind::Fifo`] must schedule **identically** to the pre-refactor
 //! `VecDeque` path: same admissions, same drops, same scan order offered
-//! to `select_dispatch`, `allow_reconfig` always true. The simulator's
-//! event loop was refactored so that, under `Fifo`, every operation maps
-//! one-to-one onto the old queue ops — which is why the PR 1–4 golden
-//! digests (and the CI perf baselines) survive this refactor unchanged.
+//! to `select_dispatch`, every reconfiguration allowed. Under `Fifo`
+//! each [`Scheduler`] method maps one-to-one onto the old queue op
+//! (admit = bounded `push_back`, scan = the queue itself, take =
+//! `remove`) and there is no gate — which is why the PR 1–4 golden
+//! digests (and the CI perf baselines) survive the extraction unchanged.
 //!
 //! # Tracing the scheduler's share of latency
 //!
-//! The queue-wait interval this module controls — [`SchedPolicy::admit`]
-//! to [`SchedPolicy::take`] — is exactly the queue span the event loop
+//! The queue-wait interval this module controls — [`Scheduler::admit`]
+//! to [`Scheduler::take`] — is exactly the queue span the event loop
 //! emits into a [`crate::trace::TraceSink`]
 //! ([`crate::trace::SpanKind::Queue`] on [`crate::trace::Track::Queue`],
 //! emitted by `sim.rs` at dispatch), and the `queue_secs` component of
@@ -54,25 +57,24 @@
 //!
 //! # Scan/take contract
 //!
-//! [`SchedPolicy::scan`] returns the queued requests in the policy's
-//! offer order; [`SchedPolicy::take`] removes by *scan position* and must
-//! be called before any other mutation invalidates the mapping (the event
+//! [`Scheduler::scan`] returns the queued requests in the queue's offer
+//! order; [`Scheduler::take`] removes by *scan position* and must be
+//! called before any other mutation invalidates the mapping (the event
 //! loop always scans and takes back to back). Position 0 is the request
-//! the policy most wants served; a dispatch policy that picks a later
+//! the scheduler most wants served; a dispatch policy that picks a later
 //! position (reconfig-aware batching) is overriding the scheduler, and
-//! the policy accounts for it (WFQ charges the tenant's deficit).
+//! the queue accounts for it (WFQ charges the tenant's deficit).
 
 pub mod predictor;
 pub mod queue;
 pub mod slo;
 pub mod wfq;
 
-use crate::metrics::RequestLatency;
 use crate::tenant::TenantSpec;
 
 pub use predictor::LatencyPredictor;
 pub use queue::Fifo;
-pub use slo::SloAware;
+pub use slo::SloGate;
 pub use wfq::WeightedFair;
 
 /// One admitted request waiting for dispatch.
@@ -82,64 +84,6 @@ pub struct Request {
     pub tenant: usize,
     /// Arrival time in simulated seconds.
     pub arrival_secs: f64,
-}
-
-/// The scheduler's enqueue/drop/pick/reconfig-gate decisions, extracted
-/// from the event loop (see the [module docs](self)).
-pub trait SchedPolicy {
-    /// Stable lowercase identifier used in reports and benchmark IDs.
-    fn name(&self) -> &'static str;
-
-    /// Offers an arriving request; `false` means it is dropped (queue
-    /// full, or the tenant's quota exhausted) — the caller accounts the
-    /// drop.
-    fn admit(&mut self, request: Request) -> bool;
-
-    /// Number of queued requests.
-    fn len(&self) -> usize;
-
-    /// True when nothing is queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The queued requests in the policy's offer order (position 0 is the
-    /// scheduler's preferred next pick). Valid until the next mutation.
-    fn scan(&mut self) -> &[Request];
-
-    /// Removes and returns the request at `position` of the **most
-    /// recent** [`scan`](SchedPolicy::scan) order.
-    fn take(&mut self, position: usize) -> Request;
-
-    /// Removes every queued request whose deadline has passed —
-    /// `now - arrival_secs > deadlines[tenant]`, where `deadlines` is
-    /// indexed by tenant and `None` entries never expire — appending
-    /// them to `expired` (reused across calls so the hot loop never
-    /// allocates). Policy bookkeeping must match a hypothetical take of
-    /// each dead request **without charging service** for it: an
-    /// expired request consumed nothing, so a WFQ tenant's deficit is
-    /// untouched unless the expiry drains its queue (which resets it,
-    /// like any drain). The event loop only calls this when some tenant
-    /// actually carries a deadline, so deadline-free runs never touch
-    /// the path — the deadline Off-equivalence invariant. The default
-    /// removes nothing (correct only for a policy holding no queue);
-    /// every bundled policy overrides it.
-    fn expire(&mut self, now: f64, deadlines: &[Option<f64>], expired: &mut Vec<Request>) {
-        let _ = (now, deadlines, expired);
-    }
-
-    /// Whether a dispatch for `tenant` may pay a bitstream
-    /// reconfiguration right now. The default never gates — exactly the
-    /// pre-refactor behavior.
-    fn allow_reconfig(&self, tenant: usize, now: f64) -> bool {
-        let _ = (tenant, now);
-        true
-    }
-
-    /// Observes a completed request (latency feedback for SLO tracking).
-    fn on_complete(&mut self, tenant: usize, latency: &RequestLatency, now: f64) {
-        let _ = (tenant, latency, now);
-    }
 }
 
 /// Which scheduler a simulation runs — the `Copy` configuration form of
@@ -169,96 +113,106 @@ pub enum SchedKind {
     },
 }
 
-/// The instantiated scheduler as a closed enum — the event loop's
-/// devirtualized form of [`SchedPolicy`].
-///
-/// The hot dispatch loop calls `admit`/`scan`/`take`/`len` on every
-/// event; routing those through a `Box<dyn SchedPolicy>` would pay an
-/// indirect call each time. This enum makes the dispatch a jump table
-/// the compiler can inline through ([`SchedKind::instantiate`] builds
-/// it). Behavior is identical — every method forwards to the same
-/// policy implementation.
+/// The admission/dispatch scheduler: a queue deciding admission and
+/// offer order, plus an optional SLO gate on reconfigurations (see the
+/// [module docs](self)).
 #[derive(Debug)]
-pub enum Scheduler {
-    /// The bounded arrival-order queue ([`queue::Fifo`]).
-    Fifo(Fifo),
-    /// Deficit-round-robin fair queueing ([`wfq::WeightedFair`]).
-    WeightedFair(WeightedFair),
-    /// SLO-gated FIFO ([`slo::SloAware`]).
-    SloAware(SloAware),
+pub struct Scheduler {
+    queue: Queue,
+    /// The reconfiguration gate; `None` allows every reconfiguration.
+    gate: Option<SloGate>,
 }
 
-impl SchedPolicy for Scheduler {
+/// The queue a [`Scheduler`] runs, as a closed enum so the hot dispatch
+/// loop's `admit`/`scan`/`take`/`len` calls are a jump table the
+/// compiler can inline through, never an indirect call. The fair queue's
+/// scan buffers are boxed to keep the FIFO variant small.
+#[derive(Debug)]
+enum Queue {
+    Fifo(Fifo),
+    WeightedFair(Box<WeightedFair>),
+}
+
+impl Scheduler {
+    /// Offers an arriving request; `false` means it is dropped (queue
+    /// full, or the tenant's quota exhausted) — the caller accounts the
+    /// drop.
     #[inline]
-    fn name(&self) -> &'static str {
-        match self {
-            Scheduler::Fifo(s) => s.name(),
-            Scheduler::WeightedFair(s) => s.name(),
-            Scheduler::SloAware(s) => s.name(),
+    pub fn admit(&mut self, request: Request) -> bool {
+        match &mut self.queue {
+            Queue::Fifo(q) => q.admit(request),
+            Queue::WeightedFair(q) => q.admit(request),
         }
     }
 
+    /// Number of queued requests.
     #[inline]
-    fn admit(&mut self, request: Request) -> bool {
-        match self {
-            Scheduler::Fifo(s) => s.admit(request),
-            Scheduler::WeightedFair(s) => s.admit(request),
-            Scheduler::SloAware(s) => s.admit(request),
+    pub fn len(&self) -> usize {
+        match &self.queue {
+            Queue::Fifo(q) => q.len(),
+            Queue::WeightedFair(q) => q.len(),
         }
     }
 
+    /// True when nothing is queued.
     #[inline]
-    fn len(&self) -> usize {
-        match self {
-            Scheduler::Fifo(s) => s.len(),
-            Scheduler::WeightedFair(s) => s.len(),
-            Scheduler::SloAware(s) => s.len(),
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The queued requests in offer order (position 0 is the scheduler's
+    /// preferred next pick). Valid until the next mutation.
+    #[inline]
+    pub fn scan(&mut self) -> &[Request] {
+        match &mut self.queue {
+            Queue::Fifo(q) => q.scan(),
+            Queue::WeightedFair(q) => q.scan(),
         }
     }
 
+    /// Removes and returns the request at `position` of the **most
+    /// recent** [`scan`](Self::scan) order.
     #[inline]
-    fn scan(&mut self) -> &[Request] {
-        match self {
-            Scheduler::Fifo(s) => s.scan(),
-            Scheduler::WeightedFair(s) => s.scan(),
-            Scheduler::SloAware(s) => s.scan(),
+    pub fn take(&mut self, position: usize) -> Request {
+        match &mut self.queue {
+            Queue::Fifo(q) => q.take(position),
+            Queue::WeightedFair(q) => q.take(position),
         }
     }
 
+    /// Removes every queued request whose deadline has passed —
+    /// `now - arrival_secs > deadlines[tenant]`, where `deadlines` is
+    /// indexed by tenant and `None` entries never expire — appending
+    /// them to `expired` (reused across calls so the hot loop never
+    /// allocates). Queue bookkeeping matches a hypothetical take of each
+    /// dead request **without charging service** for it: an expired
+    /// request consumed nothing, so a WFQ tenant's deficit is untouched
+    /// unless the expiry drains its queue (which resets it, like any
+    /// drain). The event loop only calls this when some tenant actually
+    /// carries a deadline, so deadline-free runs never touch the path —
+    /// the deadline Off-equivalence invariant.
     #[inline]
-    fn take(&mut self, position: usize) -> Request {
-        match self {
-            Scheduler::Fifo(s) => s.take(position),
-            Scheduler::WeightedFair(s) => s.take(position),
-            Scheduler::SloAware(s) => s.take(position),
+    pub fn expire(&mut self, now: f64, deadlines: &[Option<f64>], expired: &mut Vec<Request>) {
+        match &mut self.queue {
+            Queue::Fifo(q) => q.expire(now, deadlines, expired),
+            Queue::WeightedFair(q) => q.expire(now, deadlines, expired),
         }
     }
 
-    #[inline]
-    fn expire(&mut self, now: f64, deadlines: &[Option<f64>], expired: &mut Vec<Request>) {
-        match self {
-            Scheduler::Fifo(s) => s.expire(now, deadlines, expired),
-            Scheduler::WeightedFair(s) => s.expire(now, deadlines, expired),
-            Scheduler::SloAware(s) => s.expire(now, deadlines, expired),
-        }
+    /// True when the scheduler gates reconfigurations, and so needs the
+    /// run's latency predictor fed.
+    pub fn gated(&self) -> bool {
+        self.gate.is_some()
     }
 
+    /// Whether a dispatch for `tenant` may pay a bitstream
+    /// reconfiguration right now, judged on `predictor`. Without a gate
+    /// every reconfiguration is allowed — the pre-refactor behavior.
     #[inline]
-    fn allow_reconfig(&self, tenant: usize, now: f64) -> bool {
-        match self {
-            Scheduler::Fifo(s) => s.allow_reconfig(tenant, now),
-            Scheduler::WeightedFair(s) => s.allow_reconfig(tenant, now),
-            Scheduler::SloAware(s) => s.allow_reconfig(tenant, now),
-        }
-    }
-
-    #[inline]
-    fn on_complete(&mut self, tenant: usize, latency: &RequestLatency, now: f64) {
-        match self {
-            Scheduler::Fifo(s) => s.on_complete(tenant, latency, now),
-            Scheduler::WeightedFair(s) => s.on_complete(tenant, latency, now),
-            Scheduler::SloAware(s) => s.on_complete(tenant, latency, now),
-        }
+    pub fn allow_reconfig(&self, tenant: usize, predictor: &LatencyPredictor) -> bool {
+        self.gate
+            .as_ref()
+            .is_none_or(|gate| gate.allows(tenant, predictor))
     }
 }
 
@@ -290,8 +244,7 @@ impl SchedKind {
     }
 
     /// Instantiates the scheduler for a deployment of `tenants` under an
-    /// aggregate queue bound of `capacity`: the [`Scheduler`] enum the
-    /// event loop dispatches on statically.
+    /// aggregate queue bound of `capacity`.
     ///
     /// # Panics
     ///
@@ -299,23 +252,27 @@ impl SchedKind {
     /// tenant weight / SLO budget is not positive and finite.
     pub fn instantiate(&self, tenants: &[TenantSpec], capacity: usize) -> Scheduler {
         assert!(capacity > 0, "queue capacity must be positive");
-        match *self {
-            SchedKind::Fifo => Scheduler::Fifo(Fifo::new(capacity)),
-            SchedKind::WeightedFair { per_tenant_quota } => {
-                Scheduler::WeightedFair(WeightedFair::new(
+        let (queue, gate) = match *self {
+            SchedKind::Fifo => (Queue::Fifo(Fifo::new(capacity)), None),
+            SchedKind::WeightedFair { per_tenant_quota } => (
+                Queue::WeightedFair(Box::new(WeightedFair::new(
                     tenants.iter().map(|t| t.weight).collect(),
                     capacity,
                     per_tenant_quota,
-                ))
-            }
-            SchedKind::SloAware { default_slo_secs } => Scheduler::SloAware(SloAware::new(
-                tenants
-                    .iter()
-                    .map(|t| t.slo_secs.unwrap_or(default_slo_secs))
-                    .collect(),
-                capacity,
-            )),
-        }
+                ))),
+                None,
+            ),
+            SchedKind::SloAware { default_slo_secs } => (
+                Queue::Fifo(Fifo::new(capacity)),
+                Some(SloGate::new(
+                    tenants
+                        .iter()
+                        .map(|t| t.slo_secs.unwrap_or(default_slo_secs))
+                        .collect(),
+                )),
+            ),
+        };
+        Scheduler { queue, gate }
     }
 }
 
@@ -359,7 +316,7 @@ mod tests {
             SchedKind::slo_aware(),
         ] {
             let mut sched = kind.instantiate(&ts, 8);
-            assert_eq!(sched.name(), kind.name());
+            assert_eq!(sched.gated(), matches!(kind, SchedKind::SloAware { .. }));
             assert!(sched.is_empty());
             assert!(sched.admit(Request {
                 tenant: 0,
@@ -371,6 +328,24 @@ mod tests {
             assert_eq!(rq.tenant, 0);
             assert!(sched.is_empty());
         }
+    }
+
+    #[test]
+    fn ungated_schedulers_never_withhold_reconfigurations() {
+        // A warm, comfortably-within-budget tenant: the SLO gate would
+        // close, but FIFO and WFQ carry no gate.
+        let mut predictor = LatencyPredictor::new(8);
+        for _ in 0..50 {
+            predictor.observe(0, 0.01);
+        }
+        for kind in [SchedKind::Fifo, SchedKind::weighted_fair()] {
+            let sched = kind.instantiate(&tenants(8), 1);
+            assert!(sched.allow_reconfig(0, &predictor), "{}", kind.name());
+            assert!(sched.allow_reconfig(7, &predictor), "{}", kind.name());
+        }
+        let slo = SchedKind::slo_aware().instantiate(&tenants(8), 1);
+        assert!(!slo.allow_reconfig(0, &predictor));
+        assert!(slo.allow_reconfig(7, &predictor), "cold tenant passes");
     }
 
     #[test]

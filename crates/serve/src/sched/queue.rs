@@ -2,14 +2,15 @@
 
 use std::collections::VecDeque;
 
-use super::{Request, SchedPolicy};
+use super::Request;
 
 /// One bounded queue in strict arrival order: admit while depth is below
-/// capacity, drop on overflow, offer requests exactly as they arrived,
-/// never gate a reconfiguration. This is the scheduler the simulator had
-/// baked in before the `sched` extraction — the *Fifo-equivalence
-/// invariant* ([module docs](super)) holds because every trait call maps
-/// one-to-one onto the old `VecDeque` operation.
+/// capacity, drop on overflow, offer requests exactly as they arrived.
+/// This is the queue the simulator had baked in before the `sched`
+/// extraction — the *Fifo-equivalence invariant* ([module docs](super))
+/// holds because every method maps one-to-one onto the old `VecDeque`
+/// operation. The methods mirror [`super::Scheduler`]'s, which documents
+/// their contracts.
 #[derive(Debug)]
 pub struct Fifo {
     queue: VecDeque<Request>,
@@ -24,14 +25,9 @@ impl Fifo {
             capacity,
         }
     }
-}
 
-impl SchedPolicy for Fifo {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn admit(&mut self, request: Request) -> bool {
+    /// Queues `request` unless the queue is full.
+    pub fn admit(&mut self, request: Request) -> bool {
         if self.queue.len() >= self.capacity {
             return false;
         }
@@ -39,36 +35,43 @@ impl SchedPolicy for Fifo {
         true
     }
 
-    fn len(&self) -> usize {
+    /// Number of queued requests.
+    pub fn len(&self) -> usize {
         self.queue.len()
     }
 
-    fn scan(&mut self) -> &[Request] {
+    /// True when nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    /// The queued requests in arrival order.
+    pub fn scan(&mut self) -> &[Request] {
         // No copy: the ring buffer is rotated in place (amortized free —
         // a bounded queue that has wrapped stays contiguous until the
         // head moves again), exactly matching the pre-refactor borrow.
         self.queue.make_contiguous()
     }
 
-    fn take(&mut self, position: usize) -> Request {
+    /// Removes the request at scan `position`.
+    pub fn take(&mut self, position: usize) -> Request {
         self.queue
             .remove(position)
             .expect("take position within the queue")
     }
 
-    fn expire(&mut self, now: f64, deadlines: &[Option<f64>], expired: &mut Vec<Request>) {
+    /// Moves every request past its tenant's deadline into `expired`.
+    pub fn expire(&mut self, now: f64, deadlines: &[Option<f64>], expired: &mut Vec<Request>) {
         // Deadlines differ per tenant, so dead requests are interleaved
-        // with live ones — a full pass, preserving relative order.
-        let mut i = 0;
-        while i < self.queue.len() {
-            let rq = self.queue[i];
-            match deadlines[rq.tenant] {
-                Some(d) if now - rq.arrival_secs > d => {
-                    expired.push(self.queue.remove(i).expect("index in bounds"));
-                }
-                _ => i += 1,
+        // with live ones — one in-order pass keeps both sides in arrival
+        // order.
+        self.queue.retain(|rq| match deadlines[rq.tenant] {
+            Some(d) if now - rq.arrival_secs > d => {
+                expired.push(*rq);
+                false
             }
-        }
+            _ => true,
+        });
     }
 }
 
@@ -106,13 +109,6 @@ mod tests {
         assert_eq!(order, vec![0, 1, 3]);
         assert_eq!(q.take(0).tenant, 0);
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn never_gates_reconfigurations() {
-        let q = Fifo::new(1);
-        assert!(q.allow_reconfig(0, 0.0));
-        assert!(q.allow_reconfig(7, 1e9));
     }
 
     #[test]

@@ -1,98 +1,52 @@
-//! SLO-driven reconfiguration gating over a FIFO queue.
-
-use crate::metrics::RequestLatency;
+//! The SLO-driven reconfiguration gate.
 
 use super::predictor::LatencyPredictor;
-use super::{queue::Fifo, Request, SchedPolicy};
 
-/// FIFO admission and offer order, plus an SLO-driven reconfiguration
-/// gate: a dispatch may only pay an ICAP stall when the tenant's
-/// **predicted p99** — an exponentially weighted mean of its end-to-end
-/// latency (queueing included, so a building backlog raises the
-/// prediction) plus [`super::predictor::Z_P99`] weighted deviations —
-/// exceeds its SLO budget. The EWMA itself is the shared
-/// [`LatencyPredictor`], the same estimator the simulator's hedged
-/// dispatch consults.
+/// Per-tenant p99 budgets gating reconfigurations: a dispatch may only
+/// pay an ICAP stall when the tenant's **predicted p99** — an
+/// exponentially weighted mean of its end-to-end latency (queueing
+/// included, so a building backlog raises the prediction) plus
+/// [`super::predictor::Z_P99`] weighted deviations — exceeds its SLO
+/// budget. The prediction comes from the run's [`LatencyPredictor`], the
+/// same estimator the simulator's hedged dispatch consults.
 ///
 /// The cost model's per-request gain threshold keeps firing on every
 /// drift step even when tenants are comfortably inside their SLOs; this
-/// policy converts those stalls into headroom: while every tenant's
+/// gate converts those stalls into headroom: while every tenant's
 /// predicted tail clears its budget, boards keep serving on whatever
 /// bitstream they hold, and the fabric reprograms only when a tenant is
-/// actually about to miss. Queueing order is untouched (bit-identical to
-/// [`Fifo`] admission/offer decisions), so any schedule difference comes
-/// from the gate alone.
+/// actually about to miss. [`super::SchedKind::SloAware`] pairs it with a
+/// [`super::Fifo`] queue, so any schedule difference from plain FIFO
+/// comes from the gate alone.
 ///
 /// A tenant with no completed request yet always passes the gate — a cold
 /// deployment must be allowed its first configuration.
 #[derive(Debug)]
-pub struct SloAware {
-    inner: Fifo,
+pub struct SloGate {
     /// Effective per-tenant p99 budget in seconds.
     budgets: Vec<f64>,
-    /// The shared per-tenant latency EWMA (0 samples = cold, gate open).
-    predictor: LatencyPredictor,
 }
 
-impl SloAware {
-    /// An SLO-aware scheduler for tenants with the given p99 `budgets`
-    /// (seconds), over a FIFO queue of `capacity`.
+impl SloGate {
+    /// A gate for tenants with the given p99 `budgets` (seconds).
     ///
     /// # Panics
     ///
     /// Panics if `budgets` is empty or any budget is not positive and
     /// finite.
-    pub fn new(budgets: Vec<f64>, capacity: usize) -> Self {
+    pub fn new(budgets: Vec<f64>) -> Self {
         assert!(!budgets.is_empty(), "need at least one tenant budget");
         assert!(
             budgets.iter().all(|b| *b > 0.0 && b.is_finite()),
             "SLO budgets must be positive and finite"
         );
-        let n = budgets.len();
-        SloAware {
-            inner: Fifo::new(capacity),
-            budgets,
-            predictor: LatencyPredictor::new(n),
-        }
+        SloGate { budgets }
     }
 
-    /// The tenant's current predicted p99 in seconds (0 while cold).
-    pub fn predicted_p99(&self, tenant: usize) -> f64 {
-        self.predictor.predicted_p99(tenant)
-    }
-}
-
-impl SchedPolicy for SloAware {
-    fn name(&self) -> &'static str {
-        "slo"
-    }
-
-    fn admit(&mut self, request: Request) -> bool {
-        self.inner.admit(request)
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn scan(&mut self) -> &[Request] {
-        self.inner.scan()
-    }
-
-    fn take(&mut self, position: usize) -> Request {
-        self.inner.take(position)
-    }
-
-    fn expire(&mut self, now: f64, deadlines: &[Option<f64>], expired: &mut Vec<Request>) {
-        self.inner.expire(now, deadlines, expired);
-    }
-
-    fn allow_reconfig(&self, tenant: usize, _now: f64) -> bool {
-        !self.predictor.is_warm(tenant) || self.predicted_p99(tenant) > self.budgets[tenant]
-    }
-
-    fn on_complete(&mut self, tenant: usize, latency: &RequestLatency, _now: f64) {
-        self.predictor.observe(tenant, latency.total());
+    /// Whether `tenant` may pay a reconfiguration: it is cold, or its
+    /// predicted p99 exceeds its budget.
+    pub fn allows(&self, tenant: usize, predictor: &LatencyPredictor) -> bool {
+        !predictor.is_warm(tenant) || predictor.predicted_p99(tenant) > self.budgets[tenant]
     }
 }
 
@@ -100,82 +54,60 @@ impl SchedPolicy for SloAware {
 mod tests {
     use super::*;
 
-    fn lat(total_secs: f64) -> RequestLatency {
-        RequestLatency {
-            preprocess_secs: total_secs,
-            ..RequestLatency::default()
-        }
-    }
-
     #[test]
     fn cold_tenants_always_pass_the_gate() {
-        let s = SloAware::new(vec![1.0, 1.0], 8);
-        assert!(s.allow_reconfig(0, 0.0));
-        assert_eq!(s.predicted_p99(0), 0.0);
+        let gate = SloGate::new(vec![1.0, 1.0]);
+        let p = LatencyPredictor::new(2);
+        assert!(gate.allows(0, &p));
+        assert_eq!(p.predicted_p99(0), 0.0);
     }
 
     #[test]
     fn within_budget_traffic_closes_the_gate() {
-        let mut s = SloAware::new(vec![1.0], 8);
+        let gate = SloGate::new(vec![1.0]);
+        let mut p = LatencyPredictor::new(1);
         for _ in 0..50 {
-            s.on_complete(0, &lat(0.1), 0.0);
+            p.observe(0, 0.1);
         }
-        assert!(s.predicted_p99(0) < 0.2);
-        assert!(!s.allow_reconfig(0, 0.0), "comfortably inside the SLO");
+        assert!(p.predicted_p99(0) < 0.2);
+        assert!(!gate.allows(0, &p), "comfortably inside the SLO");
     }
 
     #[test]
     fn a_building_tail_reopens_the_gate() {
-        let mut s = SloAware::new(vec![1.0], 8);
+        let gate = SloGate::new(vec![1.0]);
+        let mut p = LatencyPredictor::new(1);
         for _ in 0..20 {
-            s.on_complete(0, &lat(0.5), 0.0);
+            p.observe(0, 0.5);
         }
-        assert!(!s.allow_reconfig(0, 0.0));
+        assert!(!gate.allows(0, &p));
         for _ in 0..20 {
-            s.on_complete(0, &lat(3.0), 0.0);
+            p.observe(0, 3.0);
         }
         assert!(
-            s.predicted_p99(0) > 1.0,
+            p.predicted_p99(0) > 1.0,
             "EWMA follows the degradation: {}",
-            s.predicted_p99(0)
+            p.predicted_p99(0)
         );
-        assert!(s.allow_reconfig(0, 0.0), "SLO breach reopens the gate");
+        assert!(gate.allows(0, &p), "SLO breach reopens the gate");
     }
 
     #[test]
     fn budgets_are_per_tenant() {
-        let mut s = SloAware::new(vec![0.2, 5.0], 8);
+        let gate = SloGate::new(vec![0.2, 5.0]);
+        let mut p = LatencyPredictor::new(2);
         for t in 0..2 {
             for _ in 0..30 {
-                s.on_complete(t, &lat(1.0), 0.0);
+                p.observe(t, 1.0);
             }
         }
-        assert!(s.allow_reconfig(0, 0.0), "1 s tail breaches a 0.2 s budget");
-        assert!(!s.allow_reconfig(1, 0.0), "but clears a 5 s budget");
-    }
-
-    #[test]
-    fn queueing_behavior_is_fifo() {
-        let mut s = SloAware::new(vec![1.0], 2);
-        assert!(s.admit(Request {
-            tenant: 0,
-            arrival_secs: 1.0
-        }));
-        assert!(s.admit(Request {
-            tenant: 0,
-            arrival_secs: 2.0
-        }));
-        assert!(!s.admit(Request {
-            tenant: 0,
-            arrival_secs: 3.0
-        }));
-        assert_eq!(s.scan().len(), 2);
-        assert_eq!(s.take(0).arrival_secs, 1.0);
+        assert!(gate.allows(0, &p), "1 s tail breaches a 0.2 s budget");
+        assert!(!gate.allows(1, &p), "but clears a 5 s budget");
     }
 
     #[test]
     #[should_panic(expected = "budgets must be positive")]
     fn non_positive_budgets_are_rejected() {
-        SloAware::new(vec![-1.0], 8);
+        SloGate::new(vec![-1.0]);
     }
 }

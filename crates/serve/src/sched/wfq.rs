@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use super::{Request, SchedPolicy};
+use super::Request;
 
 /// How many rounds of future grant an out-of-order pick may pre-spend
 /// before further charges are forgiven. Dispatch policies (reconfig-aware
@@ -31,7 +31,7 @@ const MAX_PRESPEND_ROUNDS: f64 = 4.0;
 ///
 /// The committed state stores only per-tenant deficits (service consumed)
 /// and the backlog round order; round grants are replayed virtually by
-/// [`scan`](SchedPolicy::scan), which simulates the DRR drain of the
+/// [`scan`](Self::scan), which simulates the DRR drain of the
 /// current backlog and offers requests in exactly that order. A take
 /// charges the tenant's deficit only while *other* tenants are backlogged
 /// (the virtual grants balance those charges, so taking scan position 0
@@ -40,6 +40,9 @@ const MAX_PRESPEND_ROUNDS: f64 = 4.0;
 /// Taking a later position (a dispatch policy overriding fairness)
 /// pre-spends the tenant's future grant, clamped at
 /// `MAX_PRESPEND_ROUNDS` so replays stay O(1).
+///
+/// The methods mirror [`super::Scheduler`]'s, which documents their
+/// contracts.
 #[derive(Debug)]
 pub struct WeightedFair {
     /// Per-tenant FIFO queues.
@@ -103,14 +106,10 @@ impl WeightedFair {
     pub fn backlog(&self, tenant: usize) -> usize {
         self.queues[tenant].len()
     }
-}
 
-impl SchedPolicy for WeightedFair {
-    fn name(&self) -> &'static str {
-        "wfq"
-    }
-
-    fn admit(&mut self, request: Request) -> bool {
+    /// Queues `request` unless the aggregate capacity or the tenant's
+    /// quota is exhausted.
+    pub fn admit(&mut self, request: Request) -> bool {
         let q = &mut self.queues[request.tenant];
         if self.len >= self.capacity || q.len() >= self.quota {
             return false;
@@ -123,11 +122,18 @@ impl SchedPolicy for WeightedFair {
         true
     }
 
-    fn len(&self) -> usize {
+    /// Number of queued requests, across every tenant.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn scan(&mut self) -> &[Request] {
+    /// True when nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The queued requests in DRR drain order.
+    pub fn scan(&mut self) -> &[Request] {
         self.scratch.clear();
         self.scan_map.clear();
         self.replay_deficit.clear();
@@ -155,7 +161,9 @@ impl SchedPolicy for WeightedFair {
         &self.scratch
     }
 
-    fn take(&mut self, position: usize) -> Request {
+    /// Removes the request at scan `position`, charging its tenant's
+    /// deficit while others are backlogged.
+    pub fn take(&mut self, position: usize) -> Request {
         let (tenant, index) = self.scan_map[position];
         // Keep later scan positions of the same tenant addressable if the
         // caller ever took mid-queue; the event loop re-scans after every
@@ -189,7 +197,8 @@ impl SchedPolicy for WeightedFair {
         request
     }
 
-    fn expire(&mut self, now: f64, deadlines: &[Option<f64>], expired: &mut Vec<Request>) {
+    /// Moves every request past its tenant's deadline into `expired`.
+    pub fn expire(&mut self, now: f64, deadlines: &[Option<f64>], expired: &mut Vec<Request>) {
         for (tenant, deadline) in deadlines.iter().enumerate().take(self.queues.len()) {
             let Some(d) = *deadline else { continue };
             let queue = &mut self.queues[tenant];

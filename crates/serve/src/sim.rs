@@ -13,7 +13,7 @@
 //! allocation in steady state. Seven event kinds drive the simulation:
 //!
 //! - **`Arrival`** — a tenant's request arrives. It is offered to the
-//!   configured [`crate::sched::SchedPolicy`] (refusals — shared queue
+//!   configured [`crate::sched::Scheduler`] (refusals — shared queue
 //!   full, or a per-tenant quota exhausted — are dropped and counted per
 //!   tenant, never silently lost) and schedules the tenant's next arrival
 //!   while offered load remains.
@@ -52,7 +52,7 @@
 //!
 //! 1. **In-queue expiry** — at every event the scheduler drops queued
 //!    requests whose deadline has passed
-//!    ([`crate::sched::SchedPolicy::expire`]); they count as
+//!    ([`crate::sched::Scheduler::expire`]); they count as
 //!    [`RequestOutcome::ExpiredInQueue`] and cost no board work.
 //! 2. **Stage abort** (pipelined mode) — a dispatched request still
 //!    waiting in a staging buffer or hand-off queue past its deadline is
@@ -63,14 +63,15 @@
 //!    as [`RequestOutcome::ServedLate`]: throughput, but not goodput,
 //!    and its whole board visit lands in the wasted-work ledger.
 //!
-//! **Hedged dispatch** ([`ServeConfig::hedge`], serial mode) reuses the
-//! shared [`crate::sched::LatencyPredictor`]: once a dispatched request's
-//! queue wait exceeds `factor ×` its tenant's predicted p99, the request
-//! is priced on a second free board as well — host ingest onto that
-//! board's *current* bitstream, no reconfiguration — and the faster leg
-//! wins (ties keep the placement pick). The loser's board stays occupied
-//! until the winner completes (a started reconfiguration still drains)
-//! and then frees via `HedgeWon`; the cancelled leg counts as
+//! **Hedged dispatch** ([`ServeConfig::hedge`], serial mode) reads the
+//! run's one [`crate::sched::LatencyPredictor`], the same one the SLO
+//! gate reads: once a dispatched request's queue wait exceeds `factor ×`
+//! its tenant's predicted p99, the request is priced on a second free
+//! board as well — host ingest onto that board's *current* bitstream,
+//! no reconfiguration — and the faster leg wins (ties keep the placement
+//! pick). The loser's board stays occupied until the winner completes (a
+//! started reconfiguration still drains) and then frees via `HedgeWon`;
+//! the cancelled leg counts as
 //! [`RequestOutcome::HedgeLoser`] and its work is wasted. Only the
 //! winner's completion fills the result cache.
 //!
@@ -125,11 +126,12 @@
 //! policies are untouched — only the meaning of "board free" narrows from
 //! "fully idle" to "can accept an ingest".
 //!
-//! # The scheduler seam
+//! # The scheduler
 //!
-//! The admission/dispatch core lives behind [`crate::sched::SchedPolicy`]
-//! ([`ServeConfig::scheduler`] picks the implementation). The event loop
-//! delegates exactly three decisions to it:
+//! The admission/dispatch core is one concrete [`crate::sched::Scheduler`]
+//! ([`ServeConfig::scheduler`] picks its queue and whether it gates
+//! reconfigurations). The event loop delegates exactly three decisions
+//! to it:
 //!
 //! 1. **Admission** — an `Arrival` calls `admit`; a refusal is the drop
 //!    path (counted against the arriving tenant).
@@ -144,17 +146,19 @@
 //!    scheduler charges the picked tenant's deficit).
 //! 3. **Reconfiguration gating** — before a board pays an ICAP stall
 //!    (serial dispatch, or fabric acquisition in pipelined mode), the
-//!    loop asks `allow_reconfig`; [`crate::sched::SloAware`] closes that
-//!    gate while the tenant's predicted p99 clears its SLO budget.
-//!    Completions feed back through `on_complete`.
+//!    loop asks `allow_reconfig`; under
+//!    [`crate::sched::SchedKind::SloAware`] its [`crate::sched::SloGate`]
+//!    closes while the tenant's predicted p99 clears its SLO budget. The
+//!    prediction is the run's one latency predictor, fed every completion
+//!    while the gate or hedging is on.
 //!
 //! **The Fifo-equivalence invariant:** with the default
 //! [`crate::sched::SchedKind::Fifo`] every one of those calls maps
 //! one-to-one onto the old baked-in `VecDeque` operation (admit =
-//! bounded `push_back`, scan = the queue itself, take = `remove`,
-//! `allow_reconfig` = always) — so every golden trace digest from PR 1–4
-//! reproduces bit-for-bit, and the CI perf baselines survive the
-//! refactor unchanged. `tests/serve_traffic.rs` pins this.
+//! bounded `push_back`, scan = the queue itself, take = `remove`, no
+//! gate) — so every golden trace digest from PR 1–4 reproduces
+//! bit-for-bit, and the CI perf baselines survive the refactor
+//! unchanged. `tests/serve_traffic.rs` pins this.
 //!
 //! # Why a 1-board serial pool is the PR 1 simulator
 //!
@@ -209,7 +213,7 @@ use crate::cache::{CacheKind, ResultCache, CACHE_LOOKUP_SECS};
 use crate::engine::{ArrivalSource, EventQueue, Handle, Slab};
 use crate::metrics::{RequestLatency, SimPerf, TrafficReport};
 use crate::pool::{BoardPool, MigratePolicy, PlacementPolicy};
-use crate::sched::{LatencyPredictor, Request, SchedKind, SchedPolicy, Scheduler};
+use crate::sched::{LatencyPredictor, Request, SchedKind, Scheduler};
 use crate::tenant::TenantSpec;
 use crate::trace::{NullSink, TraceSink};
 
@@ -1037,8 +1041,8 @@ struct Run<'a, S: TraceSink + ?Sized> {
     arrivals: ArrivalSource,
     /// Arrivals generated so far (the offered load).
     offered: u64,
-    /// The pluggable admission/dispatch scheduler (see the module docs'
-    /// "scheduler seam"), statically dispatched.
+    /// The admission/dispatch scheduler (see the module docs'
+    /// "scheduler" section).
     sched: Scheduler,
     /// Effective per-tenant deadlines: the tenant's own, falling back to
     /// the pool-wide default. With every entry `None` the expiry pass,
@@ -1046,8 +1050,8 @@ struct Run<'a, S: TraceSink + ?Sized> {
     /// deadline Off-equivalence invariant.
     deadlines: Vec<Option<f64>>,
     deadlines_on: bool,
-    /// The shared latency EWMA driving the hedge trigger (SLO-aware
-    /// scheduling owns its own instance inside the policy).
+    /// The run's one latency EWMA, read by the scheduler's SLO gate and
+    /// the hedge trigger; fed only while one of them is on.
     predictor: LatencyPredictor,
     /// Scratch for the expiry pass, reused across events.
     expired: Vec<Request>,
@@ -1304,11 +1308,10 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         true
     }
 
-    /// Latency feedback for SLO-aware scheduling, and for the hedge
-    /// trigger's shared predictor.
-    fn observe_latency(&mut self, tenant: usize, latency: RequestLatency, now: f64) {
-        self.sched.on_complete(tenant, &latency, now);
-        if self.cfg.hedge.enabled() {
+    /// Latency feedback for the predictor the SLO gate and the hedge
+    /// trigger read. Runs with neither never touch it.
+    fn observe_latency(&mut self, tenant: usize, latency: RequestLatency) {
+        if self.sched.gated() || self.cfg.hedge.enabled() {
             self.predictor.observe(tenant, latency.total());
         }
     }
@@ -1316,7 +1319,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
     fn on_service_done(&mut self, now: f64, completion: Handle) -> bool {
         let c = self.completions.remove(completion);
         self.narr.completed(now, &c);
-        self.observe_latency(c.tenant, c.latency, now);
+        self.observe_latency(c.tenant, c.latency);
         if c.cached {
             // A cache-served completion never held a board: nothing to
             // release, no entry to refill.
@@ -1359,7 +1362,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
                 ..RequestLatency::default()
             };
             self.narr.waiter_served(c.tenant, waited_since, latency);
-            self.observe_latency(c.tenant, latency, now);
+            self.observe_latency(c.tenant, latency);
         }
     }
 
@@ -1568,7 +1571,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         // ingests the delta and hands the subgraph off, but the
         // preprocessing pass and any reconfiguration are skipped.
         if !rq.partial {
-            rq.reconfig_secs = self.reconfigure(now, tenant, &rq.workload, rq.best, board);
+            rq.reconfig_secs = self.reconfigure(tenant, &rq.workload, rq.best, board);
             rq.preprocess_secs = self.preprocess_secs(tenant, &rq.workload, board);
             rq.entry_preprocess_secs = rq.preprocess_secs;
         }
@@ -1660,19 +1663,18 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
     }
 
     /// Pays the reconfiguration decision for `tenant`'s `workload` on
-    /// `board` — unless the scheduler's gate withholds it (SLO-aware
-    /// policies keep a within-budget tenant on the current bitstream;
-    /// `Fifo` never does). Returns the ICAP stall, `0.0` when the board
+    /// `board` — unless the scheduler's gate withholds it (the SLO gate
+    /// keeps a within-budget tenant on the current bitstream; FIFO and
+    /// WFQ carry no gate). Returns the ICAP stall, `0.0` when the board
     /// keeps its bitstream.
     fn reconfigure(
         &mut self,
-        now: f64,
         tenant: usize,
         workload: &Workload,
         best: HwConfig,
         board: usize,
     ) -> f64 {
-        if !self.sched.allow_reconfig(tenant, now) {
+        if !self.sched.allow_reconfig(tenant, &self.predictor) {
             return 0.0;
         }
         match self
@@ -1713,7 +1715,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         let (stall, preprocess_secs) = if partial {
             (0.0, 0.0)
         } else {
-            let stall = self.reconfigure(now, tenant, &workload, best, board);
+            let stall = self.reconfigure(tenant, &workload, best, board);
             (stall, self.preprocess_secs(tenant, &workload, board))
         };
         let done = now + stall + preprocess_secs;
